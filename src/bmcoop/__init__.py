@@ -12,7 +12,6 @@ from .backbone import (
     ContextVectors,
     SyntheticTextEncoder,
     SyntheticVisionEncoder,
-    encode_images,
     encode_text_bank,
     encode_text_with_context,
     init_context,
@@ -44,7 +43,6 @@ from .io import (
 )
 from .objective import (
     LossBreakdown,
-    ce_loss,
     class_probabilities,
     kdsp_loss,
     loss_gradient,

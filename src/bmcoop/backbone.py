@@ -87,8 +87,6 @@ class TextGradTape:
 class SyntheticTextEncoder:
     """Deterministic frozen text encoder over a seeded hash-to-vector token table."""
 
-    kind = "synthetic"
-
     def __init__(
         self,
         seed: int = 0,
@@ -216,24 +214,15 @@ def encode_text_bank(
 class SyntheticVisionEncoder:
     """Fixed random affine map from feature space to the embedding sphere."""
 
-    kind = "synthetic"
-
-    def __init__(
-        self,
-        seed: int = 0,
-        feature_dim: int = 16,
-        embedding_dim: int = 64,
-        use_bias: bool = True,
-    ):
+    def __init__(self, seed: int = 0, feature_dim: int = 16, embedding_dim: int = 64):
         if feature_dim <= 0 or embedding_dim <= 0:
             raise DataError("feature_dim and embedding_dim must be positive")
         self.seed = int(seed)
         self.feature_dim = int(feature_dim)
         self.embedding_dim = int(embedding_dim)
-        self.use_bias = bool(use_bias)
         rng = np.random.default_rng(_hash_seed("vision-projection", str(self.seed)))
         self.projection = rng.standard_normal((embedding_dim, feature_dim)) / np.sqrt(feature_dim)
-        self.bias = rng.standard_normal(embedding_dim) * (0.5 if use_bias else 0.0)
+        self.bias = rng.standard_normal(embedding_dim) * 0.5
         self.projection.setflags(write=False)
         self.bias.setflags(write=False)
 
@@ -250,18 +239,10 @@ class SyntheticVisionEncoder:
             raise DataError("a feature row mapped to the zero vector and cannot be normalized")
         return EmbeddingMatrix(values=raw / norms, axis="per-image", normalized=True)
 
-    def parameter_digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.projection).tobytes())
-        h.update(np.ascontiguousarray(self.bias).tobytes())
-        return h.hexdigest()
-
 
 @dataclass
 class CachedVisionSource:
     """Image embeddings exported offline, addressed by item id."""
-
-    kind = "cache"
 
     matrix: EmbeddingMatrix
     index: dict[str, int] = field(default_factory=dict)
@@ -270,10 +251,6 @@ class CachedVisionSource:
         bad = [i for i in self.index.values() if not 0 <= i < self.matrix.row_count]
         if bad:
             raise DataError(f"cache index points outside the matrix: rows {sorted(set(bad))}")
-
-    @property
-    def embedding_dim(self) -> int:
-        return self.matrix.dim
 
     def encode(self, item_ids: list[str]) -> EmbeddingMatrix:
         rows = []
@@ -288,20 +265,3 @@ class CachedVisionSource:
         if np.any(norms == 0.0):
             raise DataError("cached embedding row has zero norm")
         return EmbeddingMatrix(values=raw / norms, axis="per-image", normalized=True)
-
-    def parameter_digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.matrix.values).tobytes())
-        return h.hexdigest()
-
-
-def encode_images(
-    handle: SyntheticVisionEncoder | CachedVisionSource,
-    items: np.ndarray | list[str],
-) -> EmbeddingMatrix:
-    """Dispatch to the configured image source; output order matches input order."""
-    if isinstance(handle, CachedVisionSource):
-        if not isinstance(items, list):
-            raise DataError("cache-backed source expects a list of item ids")
-        return handle.encode(items)
-    return handle.encode(np.asarray(items))

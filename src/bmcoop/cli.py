@@ -42,39 +42,43 @@ COMMANDS = (
     "select", "train", "eval", "base-to-novel",
 )
 
-PATH_KEYS = (
-    "catalog", "manifest", "bank", "bank_cache",
-    "image_cache", "image_index", "features_cache", "features_index",
-    "checkpoint", "out_dir",
-)
-STRING_KEYS = {
-    "dataset_name": "dataset",
-    "eval_split": "test",
-    "eval_classifier": "context",
-    "llm_base_url": "",
-    "llm_model": "",
-    "llm_api_key_env": "BMCOOP_API_KEY",
-    "llm_fallback_bank": "",
-}
-NUMBER_KEYS = {
-    "llm_timeout": 60.0,
-    "llm_max_retries": 3,
-}
+RUN_KEYS = tuple(f.name for f in fields(RunConfig))
 
-_RUN_FIELDS = {f.name: f.type for f in fields(RunConfig)}
+# A JSON number kept as written, so that 60 and 60.0 hash differently.
+NUMBER = (int, float)
+
+# Every config key -> (type, default). ``float`` keys accept any JSON number
+# and store a float. Path keys are strings, "" meaning unset. Only run keys
+# (the ``RunConfig`` fields) may be overridden on the command line.
+SCHEMA: dict[str, tuple] = {
+    **{f.name: (type(f.default), f.default) for f in fields(RunConfig)},
+    **{key: (str, "") for key in (
+        "catalog", "manifest", "bank", "bank_cache",
+        "image_cache", "image_index", "features_cache", "features_index",
+        "checkpoint", "out_dir",
+    )},
+    "dataset_name": (str, "dataset"),
+    "eval_split": (str, "test"),
+    "eval_classifier": (str, "context"),
+    "llm_base_url": (str, ""),
+    "llm_model": (str, ""),
+    "llm_api_key_env": (str, "BMCOOP_API_KEY"),
+    "llm_fallback_bank": (str, ""),
+    "llm_timeout": (NUMBER, 60.0),
+    "llm_max_retries": (NUMBER, 3),
+}
+_TYPE_NAMES = {int: "an integer", float: "a number", NUMBER: "a number", str: "a string"}
 
 
 @dataclass
 class LoadedConfig:
     run: RunConfig
-    paths: dict[str, str]
-    strings: dict[str, str]
-    numbers: dict[str, float]
+    values: dict  # every SCHEMA key, defaults filled in
     explicit: set[str]
     digest: str
 
     def path(self, key: str, required: bool = False) -> Path | None:
-        value = self.paths.get(key, "")
+        value = self.values[key]
         if not value:
             if required:
                 raise ConfigError(f"config key {key!r} is required for this command")
@@ -87,21 +91,15 @@ class LoadedConfig:
         return out
 
 
-def _coerce_run_value(key: str, value):
-    default = getattr(RunConfig(), key)
-    if isinstance(default, bool):
-        raise ConfigError(f"unsupported config key type for {key!r}")
-    if isinstance(default, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
-        return value
-    if isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-        return float(value)
-    if not isinstance(value, str):
-        raise ConfigError(f"config key {key!r} must be a string, got {value!r}")
-    return value
+def _coerce(key: str, value):
+    """Check ``value`` against the schema type of ``key``; float keys store a float."""
+    expected = SCHEMA[key][0]
+    if isinstance(value, bool) or not isinstance(value, NUMBER if expected is float else expected):
+        raise ConfigError(f"config key {key!r} must be {_TYPE_NAMES[expected]}, got {value!r}")
+    try:
+        return float(value) if expected is float else value
+    except OverflowError as e:
+        raise ConfigError(f"config key {key!r}: {e}") from e
 
 
 def parse_config(path: str | Path, overrides: list[str] | None = None) -> LoadedConfig:
@@ -119,71 +117,37 @@ def parse_config(path: str | Path, overrides: list[str] | None = None) -> Loaded
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
 
-    run_kwargs: dict = {}
-    paths = {k: "" for k in PATH_KEYS}
-    strings = dict(STRING_KEYS)
-    numbers = dict(NUMBER_KEYS)
+    values = {key: default for key, (_, default) in SCHEMA.items()}
     for key, value in doc.items():
-        if key in _RUN_FIELDS:
-            run_kwargs[key] = _coerce_run_value(key, value)
-        elif key in PATH_KEYS:
-            if not isinstance(value, str):
-                raise ConfigError(f"config key {key!r} must be a path string")
-            paths[key] = value
-        elif key in STRING_KEYS:
-            if not isinstance(value, str):
-                raise ConfigError(f"config key {key!r} must be a string")
-            strings[key] = value
-        elif key in NUMBER_KEYS:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"config key {key!r} must be a number")
-            numbers[key] = value
-        else:
+        if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
+        values[key] = _coerce(key, value)
 
     explicit = set(doc)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         key, raw = item.split("=", 1)
-        if key not in _RUN_FIELDS:
+        if key not in RUN_KEYS:
             raise ConfigError(f"override {key!r} is not a run-config key")
-        default = getattr(RunConfig(), key)
         try:
-            if isinstance(default, int):
-                value = int(raw)
-            elif isinstance(default, float):
-                value = float(raw)
-            else:
-                value = raw
+            values[key] = _coerce(key, SCHEMA[key][0](raw))
         except ValueError as e:
             raise ConfigError(f"override {key}={raw!r}: {e}") from e
-        run_kwargs[key] = value
         explicit.add(key)
 
-    try:
-        run = RunConfig(**run_kwargs)
-    except TypeError as e:
-        raise ConfigError(str(e)) from e
-
-    effective = {f.name: getattr(run, f.name) for f in fields(RunConfig)}
-    effective.update({k: v for k, v in paths.items()})
-    effective.update(strings)
-    effective.update(numbers)
+    run = RunConfig(**{key: values[key] for key in RUN_KEYS})
     # explicit epochs changes base-to-novel behavior, so it is part of identity
-    effective["epochs_explicit"] = "epochs" in explicit
+    identity = dict(values, epochs_explicit="epochs" in explicit)
     digest = hashlib.sha256(
-        json.dumps(effective, sort_keys=True).encode("utf-8")
+        json.dumps(identity, sort_keys=True).encode("utf-8")
     ).hexdigest()
 
-    if strings["eval_split"] not in SPLITS:
+    if values["eval_split"] not in SPLITS:
         raise ConfigError(f"eval_split must be one of {SPLITS}")
-    if strings["eval_classifier"] not in ("context", "ensemble"):
+    if values["eval_classifier"] not in ("context", "ensemble"):
         raise ConfigError("eval_classifier must be 'context' or 'ensemble'")
-    return LoadedConfig(
-        run=run, paths=paths, strings=strings, numbers=numbers,
-        explicit=explicit, digest=digest,
-    )
+    return LoadedConfig(run=run, values=values, explicit=explicit, digest=digest)
 
 
 def _write_meta(artifact: Path, cfg: LoadedConfig, command: str) -> None:
@@ -211,16 +175,13 @@ def _text_handle(cfg: LoadedConfig) -> SyntheticTextEncoder:
     )
 
 
-def _load_catalog_manifest(cfg: LoadedConfig):
+def _load_inputs(cfg: LoadedConfig):
+    """Catalog, manifest and the cached image embeddings they address."""
     catalog = io.load_catalog(cfg.path("catalog", required=True))
     manifest = io.load_manifest(cfg.path("manifest", required=True), catalog)
-    return catalog, manifest
-
-
-def _image_source(cfg: LoadedConfig) -> CachedVisionSource:
     matrix = io.read_embedding_cache(cfg.path("image_cache", required=True))
     index = io.load_cache_index(cfg.path("image_index", required=True))
-    return CachedVisionSource(matrix=matrix, index=index)
+    return catalog, manifest, CachedVisionSource(matrix=matrix, index=index)
 
 
 def _bank_embeddings(cfg: LoadedConfig, catalog: ClassCatalog) -> list[np.ndarray]:
@@ -240,12 +201,12 @@ def _bank_embeddings(cfg: LoadedConfig, catalog: ClassCatalog) -> list[np.ndarra
 def _test_batch(cfg, catalog, manifest, source, class_names: list[str]):
     """Embeddings and labels for the eval split, restricted to ``class_names``."""
     records = [
-        r for r in manifest.items(split=cfg.strings["eval_split"])
+        r for r in manifest.items(split=cfg.values["eval_split"])
         if r.class_name in set(class_names)
     ]
     if not records:
         raise DataError(
-            f"no items in split {cfg.strings['eval_split']!r} for the requested classes"
+            f"no items in split {cfg.values['eval_split']!r} for the requested classes"
         )
     images = source.encode([r.item_id for r in records]).values
     labels = np.asarray([class_names.index(r.class_name) for r in records], dtype=np.intp)
@@ -271,13 +232,13 @@ def _context_for_eval(cfg: LoadedConfig, handle: SyntheticTextEncoder):
 def cmd_gen_prompts(cfg: LoadedConfig) -> None:
     catalog = io.load_catalog(cfg.path("catalog", required=True))
     endpoint = promptgen.LlmEndpointConfig(
-        base_url=cfg.strings["llm_base_url"],
-        model=cfg.strings["llm_model"],
-        api_key_env_var=cfg.strings["llm_api_key_env"],
-        timeout=float(cfg.numbers["llm_timeout"]),
-        max_retries=int(cfg.numbers["llm_max_retries"]),
+        base_url=cfg.values["llm_base_url"],
+        model=cfg.values["llm_model"],
+        api_key_env_var=cfg.values["llm_api_key_env"],
+        timeout=float(cfg.values["llm_timeout"]),
+        max_retries=int(cfg.values["llm_max_retries"]),
     )
-    fallback = cfg.strings["llm_fallback_bank"] or None
+    fallback = cfg.values["llm_fallback_bank"] or None
     bank = promptgen.fetch_prompts(
         endpoint, catalog, cfg.run.prompts_per_class, fallback_bank=fallback
     )
@@ -322,8 +283,7 @@ def cmd_encode_images(cfg: LoadedConfig) -> None:
 
 
 def cmd_select(cfg: LoadedConfig) -> None:
-    catalog, manifest = _load_catalog_manifest(cfg)
-    source = _image_source(cfg)
+    catalog, manifest, source = _load_inputs(cfg)
     bank_embeds = _bank_embeddings(cfg, catalog)
     support = trainer.sample_few_shot(manifest, catalog, cfg.run.shots, cfg.run.seed)
     images = source.encode(support.item_ids).values
@@ -344,10 +304,8 @@ def cmd_select(cfg: LoadedConfig) -> None:
     print(f"wrote prompt score report: {out}")
 
 
-def _train_common(cfg: LoadedConfig, class_names: list[str], epochs: int):
-    catalog, manifest = _load_catalog_manifest(cfg)
-    source = _image_source(cfg)
-    handle = _text_handle(cfg)
+def _train_common(cfg, catalog, manifest, source, handle, class_names: list[str], epochs: int):
+    """Train the context on ``class_names``; returns (state, epoch logs)."""
     run = cfg.run.with_overrides(epochs=epochs)
 
     support = trainer.sample_few_shot(
@@ -365,16 +323,17 @@ def _train_common(cfg: LoadedConfig, class_names: list[str], epochs: int):
             class_names, bank_embeds, support.embeddings, run
         )
 
-    state, logs = trainer.train_run(
+    return trainer.train_run(
         support, class_names, handle, run,
         ensemble_mean=ensemble_mean_arr, teacher_ensemble=teacher,
     )
-    return catalog, manifest, source, handle, state, logs
 
 
 def cmd_train(cfg: LoadedConfig) -> None:
-    catalog = io.load_catalog(cfg.path("catalog", required=True))
-    _, _, _, _, state, logs = _train_common(cfg, catalog.names, cfg.run.epochs)
+    catalog, manifest, source = _load_inputs(cfg)
+    state, logs = _train_common(
+        cfg, catalog, manifest, source, _text_handle(cfg), catalog.names, cfg.run.epochs
+    )
     out = cfg.out_dir()
     ckpt = out / "checkpoint.ckpt"
     log_path = out / "train_log.tsv"
@@ -387,12 +346,11 @@ def cmd_train(cfg: LoadedConfig) -> None:
 
 
 def cmd_eval(cfg: LoadedConfig) -> None:
-    catalog, manifest = _load_catalog_manifest(cfg)
-    source = _image_source(cfg)
+    catalog, manifest, source = _load_inputs(cfg)
     handle = _text_handle(cfg)
     images, labels = _test_batch(cfg, catalog, manifest, source, catalog.names)
 
-    if cfg.strings["eval_classifier"] == "ensemble":
+    if cfg.values["eval_classifier"] == "ensemble":
         class_embeds = mean_ensemble(_bank_embeddings(cfg, catalog))
     else:
         ctx = _context_for_eval(cfg, handle)
@@ -401,10 +359,10 @@ def cmd_eval(cfg: LoadedConfig) -> None:
     acc = evaluation.accuracy(predict(probs), labels)
 
     report = evaluation.EvalReport(
-        dataset=cfg.strings["dataset_name"],
+        dataset=cfg.values["dataset_name"],
         seeds=[cfg.run.seed],
         accuracies=[acc],
-        extra={"config_digest": cfg.digest, "classifier": cfg.strings["eval_classifier"]},
+        extra={"config_digest": cfg.digest, "classifier": cfg.values["eval_classifier"]},
     )
     out = cfg.out_dir() / "eval_report.json"
     report.write_json(out)
@@ -414,11 +372,12 @@ def cmd_eval(cfg: LoadedConfig) -> None:
 
 
 def cmd_base_to_novel(cfg: LoadedConfig) -> None:
-    catalog = io.load_catalog(cfg.path("catalog", required=True))
+    catalog, manifest, source = _load_inputs(cfg)
+    handle = _text_handle(cfg)
     base_names, novel_names = evaluation.base_novel_split(catalog)
     # convention: 50 epochs here unless the config pins epochs explicitly
     epochs = cfg.run.epochs if "epochs" in cfg.explicit else 50
-    _, manifest, source, handle, state, logs = _train_common(cfg, base_names, epochs)
+    state, logs = _train_common(cfg, catalog, manifest, source, handle, base_names, epochs)
 
     def _split_accuracy(names: list[str]) -> float:
         images, labels = _test_batch(cfg, catalog, manifest, source, names)
@@ -433,7 +392,7 @@ def cmd_base_to_novel(cfg: LoadedConfig) -> None:
     overall = evaluation.accuracy(predict(class_probabilities(all_images, all_embeds, handle.tau)), all_labels)
 
     report = evaluation.EvalReport(
-        dataset=cfg.strings["dataset_name"],
+        dataset=cfg.values["dataset_name"],
         seeds=[cfg.run.seed],
         accuracies=[overall],
         base_acc=base_acc,

@@ -54,11 +54,15 @@ def load_manifest(path: str | Path, catalog: ClassCatalog) -> DatasetManifest:
     path = Path(path)
     known = set(catalog.names)
     records = []
+    seen: set[str] = set()
     for lineno, line in enumerate(_read_lines(path), start=1):
         parts = line.split("\t")
         if len(parts) != 3:
             raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
         item_id, class_name, split = parts
+        if item_id in seen:
+            raise DataError(f"{path}:{lineno}: duplicate item id {item_id!r}")
+        seen.add(item_id)
         if class_name not in known:
             raise DataError(f"{path}:{lineno}: unknown class {class_name!r}")
         if split not in SPLITS:
@@ -91,10 +95,13 @@ def load_prompt_bank(path: str | Path) -> PromptBank:
         raise DataError(f"{path}: invalid JSON: {e}") from e
     try:
         classes = doc["classes"]
-        prompts = {c["name"]: list(c["prompts"]) for c in classes}
+        prompts = {c["name"]: c["prompts"] for c in classes}
         modalities = {c["name"]: c.get("modality", "") for c in classes}
     except (KeyError, TypeError) as e:
         raise DataError(f"{path}: malformed prompt bank document ({e})") from e
+    for name, plist in prompts.items():
+        if not isinstance(plist, list) or not all(isinstance(p, str) for p in plist):
+            raise DataError(f"{path}: prompts of class {name!r} must be a list of strings")
     return PromptBank(
         prompts=prompts,
         modalities=modalities,
@@ -172,6 +179,8 @@ def load_cache_index(path: str | Path) -> dict[str, int]:
         if len(parts) != 2:
             raise DataError(f"{path}:{lineno}: expected `item_id<TAB>row_index`")
         item_id, row = parts
+        if item_id in index:
+            raise DataError(f"{path}:{lineno}: duplicate item id {item_id!r}")
         try:
             index[item_id] = int(row)
         except ValueError as e:

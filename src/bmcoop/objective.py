@@ -92,14 +92,6 @@ def _check_labels(labels: np.ndarray, batch: int, n_classes: int) -> np.ndarray:
     return labels.astype(np.intp)
 
 
-def ce_loss(probabilities: np.ndarray, labels: np.ndarray) -> float:
-    """Batch mean of -log p(true class)."""
-    probabilities = np.asarray(probabilities, dtype=np.float64)
-    labels = _check_labels(labels, probabilities.shape[0], probabilities.shape[1])
-    picked = probabilities[np.arange(len(labels)), labels]
-    return float(-np.mean(np.log(picked)))
-
-
 def _ce_from_logits(logits: np.ndarray, labels: np.ndarray) -> float:
     # log-space path: never exponentiates before taking the log
     log_probs = _log_softmax(logits)

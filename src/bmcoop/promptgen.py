@@ -8,13 +8,12 @@ written into banks or logs.
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import re
 import time
 from dataclasses import dataclass
-
-import requests
 
 from .errors import DataError, NetworkError
 from .io import load_prompt_bank
@@ -61,6 +60,38 @@ def parse_prompt_lines(text: str) -> list[str]:
     return prompts
 
 
+def post_json(url: str, payload: dict, headers: dict[str, str], timeout: float):
+    """POST ``payload`` as JSON and return the decoded JSON reply.
+
+    A malformed URL, transport failures and HTTP error statuses raise
+    ``OSError`` (``TimeoutError`` for a timeout); a reply that is not JSON
+    raises ``ValueError``.
+    """
+    # imported here so that only gen-prompts pays for loading the HTTP stack
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    try:
+        request = urllib.request.Request(
+            url,
+            data=json.dumps(payload).encode("utf-8"),
+            headers={"Content-Type": "application/json", **headers},
+            method="POST",
+        )
+    except ValueError as e:
+        raise OSError(f"invalid URL: {e}") from e
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return json.loads(response.read())
+    except urllib.error.URLError as e:
+        if isinstance(e.reason, TimeoutError):
+            raise TimeoutError(str(e.reason)) from e
+        raise
+    except http.client.HTTPException as e:
+        raise OSError(f"malformed HTTP response: {e!r}") from e
+
+
 def _post_chat(config: LlmEndpointConfig, query: str) -> str:
     api_key = os.environ.get(config.api_key_env_var)
     if not api_key:
@@ -74,18 +105,11 @@ def _post_chat(config: LlmEndpointConfig, query: str) -> str:
     }
     log.debug("POST %s model=%s key=<redacted>", url, config.model)
     try:
-        response = requests.post(
-            url,
-            json=payload,
-            headers={"Authorization": f"Bearer {api_key}"},
-            timeout=config.timeout,
-        )
-        response.raise_for_status()
-        body = response.json()
+        body = post_json(url, payload, {"Authorization": f"Bearer {api_key}"}, config.timeout)
         return body["choices"][0]["message"]["content"]
-    except requests.Timeout as e:
+    except TimeoutError as e:
         raise NetworkError(f"request to {url} timed out after {config.timeout}s") from e
-    except requests.RequestException as e:
+    except OSError as e:
         raise NetworkError(f"request to {url} failed: {e}") from e
     except (KeyError, IndexError, TypeError, ValueError) as e:
         raise NetworkError(f"unexpected response shape from {url}: {e}") from e

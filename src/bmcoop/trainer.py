@@ -89,14 +89,11 @@ def sample_few_shot(
 
 @dataclass
 class TrainState:
-    """Mutable training state; only ``ctx`` is learnable, the rest is frozen."""
+    """Mutable training state: the learnable context, the next epoch, the shuffle RNG."""
 
     ctx: ContextVectors
     epoch: int
     rng: np.random.Generator
-    best_val_accuracy: float = float("nan")
-    ensemble_mean: np.ndarray | None = None     # fixed for the run
-    teacher_ensemble: np.ndarray | None = None  # fixed for the run
 
 
 @dataclass
@@ -152,8 +149,6 @@ def train_run(
     ensemble_mean: np.ndarray | None = None,
     teacher_ensemble: np.ndarray | None = None,
     state: TrainState | None = None,
-    val_images: np.ndarray | None = None,
-    val_labels: np.ndarray | None = None,
 ) -> tuple[TrainState, list[EpochLog]]:
     """Mini-batch SGD over the shuffled support set for the configured epochs.
 
@@ -169,8 +164,6 @@ def train_run(
             f"checkpoint context width {state.ctx.token_width} does not match "
             f"handle width {handle.token_width}"
         )
-    state.ensemble_mean = ensemble_mean
-    state.teacher_ensemble = teacher_ensemble
 
     images = support.embeddings
     labels = support.labels
@@ -212,12 +205,6 @@ def train_run(
         train_acc = _accuracy_with_context(
             handle, state.ctx, class_names, images, labels
         )
-        if val_images is not None and val_labels is not None:
-            val_acc = _accuracy_with_context(
-                handle, state.ctx, class_names, val_images, val_labels
-            )
-            if not np.isfinite(state.best_val_accuracy) or val_acc > state.best_val_accuracy:
-                state.best_val_accuracy = val_acc
         state.epoch = epoch + 1
         logs.append(EpochLog(epoch=epoch, breakdown=epoch_breakdown, train_acc=train_acc))
     return state, logs
@@ -289,11 +276,14 @@ def load_checkpoint(path: str | Path) -> TrainState:
     if blob[: len(CKPT_MAGIC)] != CKPT_MAGIC:
         raise DataError(f"{path}: bad checkpoint magic")
     offset = len(CKPT_MAGIC)
+    if len(blob) < offset + 12:
+        raise DataError(f"{path}: truncated checkpoint header")
     version, rows, width = struct.unpack_from("<III", blob, offset)
     if version != CKPT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     offset += 12
     payload = rows * width * 4
+    # the payload plus the u32 epoch and u32 rng-state length that follow it
     if len(blob) < offset + payload + 8:
         raise DataError(f"{path}: truncated checkpoint")
     ctx = np.frombuffer(blob[offset : offset + payload], dtype="<f4")

@@ -79,7 +79,6 @@ class ClassCatalog:
     """
 
     classes: list[ClassEntry]
-    base_novel_tag: list[str] | None = None  # optional "base"/"novel" per class
 
     def __post_init__(self):
         names = [c.name for c in self.classes]
@@ -88,11 +87,6 @@ class ClassCatalog:
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise DataError(f"duplicate class names in catalog: {dupes}")
-        if self.base_novel_tag is not None:
-            if len(self.base_novel_tag) != len(self.classes):
-                raise DataError("base/novel tags do not cover every class")
-            if any(t not in ("base", "novel") for t in self.base_novel_tag):
-                raise DataError("base/novel tags must be 'base' or 'novel'")
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -120,10 +114,9 @@ class ManifestRecord:
 
 @dataclass
 class DatasetManifest:
-    """Per-item records (id, class, split) in file order, plus optional image size."""
+    """Per-item records (id, class, split) in file order."""
 
     records: list[ManifestRecord]
-    image_size: tuple[int, int] | None = None  # (H, W), metadata only
 
     def __len__(self) -> int:
         return len(self.records)

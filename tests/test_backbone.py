@@ -7,7 +7,6 @@ from bmcoop.backbone import (
     CachedVisionSource,
     SyntheticTextEncoder,
     SyntheticVisionEncoder,
-    encode_images,
     encode_text_bank,
     encode_text_with_context,
     init_context,
@@ -144,21 +143,20 @@ class TestVisionEncoder:
         expected = enc.bias / np.linalg.norm(enc.bias)
         assert np.allclose(out.values[0], expected)
 
-    def test_proportional_inputs_identical_without_bias(self):
-        enc = SyntheticVisionEncoder(seed=4, feature_dim=6, embedding_dim=10, use_bias=False)
+    def test_matches_affine_oracle(self):
+        enc = SyntheticVisionEncoder(seed=4, feature_dim=6, embedding_dim=10)
         x = np.random.default_rng(1).standard_normal((1, 6))
-        # matrix-multiply oracle: normalize(P @ x) is scale invariant
-        raw = enc.projection @ x[0]
+        # matrix-multiply oracle: normalize(P @ x + b)
+        raw = enc.projection @ x[0] + enc.bias
         oracle = raw / np.linalg.norm(raw)
-        out1 = enc.encode(x)
-        out2 = enc.encode(2.0 * x)
-        assert np.allclose(out1.values[0], out2.values[0])
-        assert np.allclose(out1.values[0], oracle)
+        assert np.allclose(enc.encode(x).values[0], oracle)
 
-    def test_zero_rejected_without_bias(self):
-        enc = SyntheticVisionEncoder(seed=4, feature_dim=6, embedding_dim=10, use_bias=False)
+    def test_zero_rejected(self):
+        # a 1-d map, so that P @ (pinv(P) @ -b) cancels the bias exactly
+        enc = SyntheticVisionEncoder(seed=4, feature_dim=1, embedding_dim=1)
+        x = np.linalg.pinv(enc.projection) @ (-enc.bias)
         with pytest.raises(DataError, match="zero"):
-            enc.encode(np.zeros((1, 6)))
+            enc.encode(x[None, :])
 
     def test_unit_norm_rows(self):
         enc = SyntheticVisionEncoder(seed=4, feature_dim=6, embedding_dim=10)
@@ -182,19 +180,19 @@ class TestCachedVisionSource:
 
     def test_selection_in_request_order(self):
         source = self.make_source()
-        out = encode_images(source, ["img3", "img0", "img4"])
+        out = source.encode(["img3", "img0", "img4"])
         assert out.values.shape == (3, 8)
-        ref = encode_images(source, ["img3"])
+        ref = source.encode(["img3"])
         assert np.array_equal(out.values[0], ref.values[0])
 
     def test_missing_id_named(self):
         source = self.make_source()
         with pytest.raises(DataError, match="img99"):
-            encode_images(source, ["img0", "img99"])
+            source.encode(["img0", "img99"])
 
     def test_rows_are_renormalized(self):
         source = self.make_source()
-        out = encode_images(source, [f"img{i}" for i in range(5)])
+        out = source.encode([f"img{i}" for i in range(5)])
         assert np.max(np.abs(np.linalg.norm(out.values, axis=1) - 1.0)) < 1e-12
 
     def test_index_outside_matrix_rejected(self):

@@ -1,6 +1,10 @@
 """Config parsing and end-to-end command flows on a generated toy dataset."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,8 +51,9 @@ class TestParseConfig:
             parse_config(self.write(tmp_path, {"lamda1": 1}))
 
     def test_type_mismatch_named(self, tmp_path):
-        with pytest.raises(ConfigError, match="epochs"):
-            parse_config(self.write(tmp_path, {"epochs": "ten"}))
+        for key, value in (("epochs", "ten"), ("lambda1", 10**400)):
+            with pytest.raises(ConfigError, match=key):
+                parse_config(self.write(tmp_path, {key: value}))
 
     def test_overrides_apply(self, tmp_path):
         cfg = parse_config(self.write(tmp_path, {"seed": 1}), ["seed=9", "lambda1=0.75"])
@@ -65,6 +70,28 @@ class TestParseConfig:
         same = parse_config(self.write(tmp_path, {"seed": 2}))
         assert base.digest != overridden.digest
         assert overridden.digest == same.digest
+
+    def test_digests_pinned(self, tmp_path):
+        # literals recorded before the config schema was rewritten; they are
+        # the config_digest stamped into eval and prompt-score reports
+        readme = {
+            "catalog": "data/catalog.tsv", "manifest": "data/manifest.tsv",
+            "image_cache": "data/images.emb", "image_index": "data/images.idx",
+            "bank_cache": "data/bank.emb", "out_dir": "runs/demo",
+            "shots": 16, "lambda1": 0.5, "lambda2": 0.25, "zeta_s": 1.5,
+        }
+        every_group = {
+            "epochs": 30, "tau": 0.02, "lambda2": 1, "context_init_text": "an image of",
+            "checkpoint": "runs/x.ckpt", "eval_split": "val", "llm_model": "m",
+            "llm_timeout": 60, "llm_max_retries": 5,
+        }
+        overrides = ["epochs=7", "lambda1=0.75", "context_init_text=a scan of"]
+        for doc, args, digest in (
+            (readme, [], "ee0e326309c70e5bbff573ee6041d37e3edd3eb73e9518d4f0d30723d6e11149"),
+            (every_group, [], "d45f6eaa7661eb94ee8a521a5eeb841dc9edb2a5254c808f76a539d04d8440d7"),
+            ({"seed": 1}, overrides, "068281a181ab4801d2dcbfb100b8043991354dcec265621e427f8a7c50ecea02"),
+        ):
+            assert parse_config(self.write(tmp_path, doc), args).digest == digest
 
 
 @pytest.fixture
@@ -346,6 +373,14 @@ class TestExitCodes:
         assert run("train", str(config_path)) == 3
         assert "category=data" in capsys.readouterr().err
 
+    def test_truncated_checkpoint_is_3(self, toy_dataset, capsys):
+        tmp_path, config, config_path = toy_dataset
+        ckpt = tmp_path / "short.ckpt"
+        ckpt.write_bytes(b"BMCCKPT1\x01\x00")
+        rewrite(config_path, config, checkpoint=str(ckpt))
+        assert run("eval", str(config_path)) == 3
+        assert "category=data" in capsys.readouterr().err
+
     def test_network_error_is_5(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("BMCOOP_API_KEY", raising=False)
         (tmp_path / "catalog.tsv").write_text("lesion\tMRI\n")
@@ -363,3 +398,11 @@ class TestExitCodes:
         config_path = tmp_path / "c.json"
         config_path.write_text("{}")
         assert run("frobnicate", str(config_path)) == 2
+
+
+def test_cli_import_leaves_http_stack_unloaded():
+    code = "import sys, bmcoop.cli; print(sorted({'requests', 'urllib.request', 'http.client'} & set(sys.modules)))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

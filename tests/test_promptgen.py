@@ -2,6 +2,8 @@
 
 import json
 import logging
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -62,15 +64,8 @@ class TestParsePromptLines:
         assert parse_prompt_lines("a\n\n   \nb") == ["a", "b"]
 
 
-class FakeResponse:
-    def __init__(self, content):
-        self._content = content
-
-    def raise_for_status(self):
-        pass
-
-    def json(self):
-        return {"choices": [{"message": {"content": self._content}}]}
+def reply(content):
+    return {"choices": [{"message": {"content": content}}]}
 
 
 def numbered(lines):
@@ -87,14 +82,15 @@ class TestFetchPrompts:
     def test_full_response_first_try(self, monkeypatch, api_key):
         calls = []
 
-        def fake_post(url, json=None, headers=None, timeout=None):
-            calls.append((url, json, headers))
-            return FakeResponse(numbered([f"finding number {i}" for i in range(50)]))
+        def fake_post(url, payload, headers, timeout):
+            calls.append((url, payload, headers))
+            return reply(numbered([f"finding number {i}" for i in range(50)]))
 
-        monkeypatch.setattr(promptgen.requests, "post", fake_post)
+        monkeypatch.setattr(promptgen, "post_json", fake_post)
         bank = fetch_prompts(ENDPOINT, CATALOG, 50)
         assert len(calls) == 1
         assert calls[0][0] == "https://llm.example/v1/chat/completions"
+        assert calls[0][2] == {"Authorization": f"Bearer {api_key}"}
         assert bank.prompts["glioma tumor"][0] == "finding number 0"  # numbering stripped
         assert len(bank.prompts["glioma tumor"]) == 50
         assert bank.modalities["glioma tumor"] == "MRI"
@@ -105,10 +101,10 @@ class TestFetchPrompts:
         second = [first[0], first[1], "late finding A", "late finding B"]
         responses = [numbered(first), numbered(second)]
 
-        def fake_post(url, json=None, headers=None, timeout=None):
-            return FakeResponse(responses.pop(0))
+        def fake_post(url, payload, headers, timeout):
+            return reply(responses.pop(0))
 
-        monkeypatch.setattr(promptgen.requests, "post", fake_post)
+        monkeypatch.setattr(promptgen, "post_json", fake_post)
         bank = fetch_prompts(ENDPOINT, CATALOG, 50, retry_sleep=0.0)
         prompts = bank.prompts["glioma tumor"]
         assert len(prompts) == 50
@@ -116,10 +112,10 @@ class TestFetchPrompts:
         assert prompts[-2:] == ["late finding A", "late finding B"]
 
     def test_persistent_shortfall_lists_class(self, monkeypatch, api_key):
-        def fake_post(url, json=None, headers=None, timeout=None):
-            return FakeResponse(numbered(["only one line"]))
+        def fake_post(url, payload, headers, timeout):
+            return reply(numbered(["only one line"]))
 
-        monkeypatch.setattr(promptgen.requests, "post", fake_post)
+        monkeypatch.setattr(promptgen, "post_json", fake_post)
         with pytest.raises(NetworkError, match="glioma tumor"):
             fetch_prompts(ENDPOINT, CATALOG, 50, retry_sleep=0.0)
 
@@ -127,7 +123,7 @@ class TestFetchPrompts:
         def explode(*args, **kwargs):
             raise AssertionError("network must not be touched in fallback mode")
 
-        monkeypatch.setattr(promptgen.requests, "post", explode)
+        monkeypatch.setattr(promptgen, "post_json", explode)
         bank = PromptBank(
             prompts={"glioma tumor": [f"finding {i}" for i in range(5)]},
             modalities={"glioma tumor": "MRI"},
@@ -143,18 +139,18 @@ class TestFetchPrompts:
             fetch_prompts(ENDPOINT, CATALOG, 5)
 
     def test_timeout_is_network_error(self, monkeypatch, api_key):
-        def fake_post(url, json=None, headers=None, timeout=None):
-            raise promptgen.requests.Timeout("too slow")
+        def fake_post(url, payload, headers, timeout):
+            raise TimeoutError("too slow")
 
-        monkeypatch.setattr(promptgen.requests, "post", fake_post)
+        monkeypatch.setattr(promptgen, "post_json", fake_post)
         with pytest.raises(NetworkError, match="timed out"):
             fetch_prompts(ENDPOINT, CATALOG, 5, retry_sleep=0.0)
 
     def test_no_credentials_in_bank_or_logs(self, monkeypatch, api_key, tmp_path, caplog):
-        def fake_post(url, json=None, headers=None, timeout=None):
-            return FakeResponse(numbered([f"finding {i}" for i in range(5)]))
+        def fake_post(url, payload, headers, timeout):
+            return reply(numbered([f"finding {i}" for i in range(5)]))
 
-        monkeypatch.setattr(promptgen.requests, "post", fake_post)
+        monkeypatch.setattr(promptgen, "post_json", fake_post)
         with caplog.at_level(logging.DEBUG, logger="bmcoop.promptgen"):
             bank = fetch_prompts(ENDPOINT, CATALOG, 5)
         path = tmp_path / "bank.json"
@@ -163,6 +159,66 @@ class TestFetchPrompts:
         assert api_key not in json.dumps(bank.generator)
         for record in caplog.records:
             assert api_key not in record.getMessage()
+
+
+@pytest.fixture
+def local_endpoint(monkeypatch):
+    """A 127.0.0.1 chat endpoint answering each POST with the next queued
+    (status, JSON body); yields (endpoint config, replies, received requests)."""
+    for var in ("http_proxy", "HTTP_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    replies, received = [], []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            received.append((self.path, self.headers["Authorization"], json.loads(body)))
+            status, doc = replies.pop(0)
+            data = json.dumps(doc).encode("utf-8")
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    endpoint = LlmEndpointConfig(
+        base_url=f"http://127.0.0.1:{server.server_port}/v1",
+        model="test-model",
+        api_key_env_var="TEST_LLM_KEY",
+        timeout=10.0,
+    )
+    try:
+        yield endpoint, replies, received
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+class TestHttpPost:
+    def test_round_trip_over_http(self, local_endpoint, api_key):
+        endpoint, replies, received = local_endpoint
+        replies.append((200, reply(numbered(["finding a", "finding b"]))))
+        bank = fetch_prompts(endpoint, CATALOG, 2)
+        assert bank.prompts["glioma tumor"] == ["finding a", "finding b"]
+        path, authorization, payload = received[0]
+        assert path == "/v1/chat/completions"
+        assert authorization == f"Bearer {api_key}"
+        assert payload["model"] == "test-model"
+        assert payload["messages"][0]["content"] == build_query("glioma tumor", "MRI", 2)
+
+    def test_server_error_is_network_error(self, local_endpoint, api_key):
+        endpoint, replies, _ = local_endpoint
+        replies.append((503, {"error": "overloaded"}))
+        with pytest.raises(NetworkError, match="503"):
+            fetch_prompts(endpoint, CATALOG, 2)
 
 
 class TestValidateBank:

@@ -1,5 +1,7 @@
 """Core types and file formats: manifests, catalogs, banks, embedding caches."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,9 +62,13 @@ class TestManifest:
 
     def test_unknown_class_named_in_error(self, tmp_path):
         path = tmp_path / "m.tsv"
-        path.write_text("a\tcyst\ttrain\n")
-        with pytest.raises(DataError, match="cyst"):
-            load_manifest(path, make_catalog("benign", "malignant"))
+        for text, match in (
+            ("a\tcyst\ttrain\n", "cyst"),
+            ("a\tbenign\ttrain\nb\tbenign\ttrain\na\tmalignant\ttest\n", ":3: duplicate item id 'a'"),
+        ):
+            path.write_text(text)
+            with pytest.raises(DataError, match=match):
+                load_manifest(path, make_catalog("benign", "malignant"))
 
     def test_malformed_split_rejected(self, tmp_path):
         path = tmp_path / "m.tsv"
@@ -194,9 +200,13 @@ class TestCacheIndex:
 
     def test_bad_row_index(self, tmp_path):
         path = tmp_path / "index.tsv"
-        path.write_text("img1\tnot-a-number\n")
-        with pytest.raises(DataError, match="row index"):
-            load_cache_index(path)
+        for text, match in (
+            ("img1\tnot-a-number\n", "row index"),
+            ("x\t0\nx\t1\n", ":2: duplicate item id 'x'"),
+        ):
+            path.write_text(text)
+            with pytest.raises(DataError, match=match):
+                load_cache_index(path)
 
 
 class TestPromptBank:
@@ -219,6 +229,13 @@ class TestPromptBank:
         assert back.prompts == bank.prompts
         assert back.modalities == bank.modalities
         assert back.query_template == bank.query_template
+
+    def test_prompts_must_be_a_list_of_strings(self, tmp_path):
+        path = tmp_path / "bank.json"
+        for prompts in ("xy", [1, 2]):
+            path.write_text(json.dumps({"classes": [{"name": "benign", "prompts": prompts}]}))
+            with pytest.raises(DataError, match="list of strings"):
+                load_prompt_bank(path)
 
     def test_validate_missing_class(self):
         bank = self.make_bank()
