@@ -8,6 +8,16 @@ written by hand and checked against finite differences:
     raw     = P @ pooled            (fixed random projection, d_tok -> D)
     embed   = raw / ||raw||
 
+Pooling is a linear mean, so for class c with n_c the sum of its name
+token vectors and L_c = M + (name tokens) the sequence length,
+
+    raw_c = (P·Σctx + P·n_c) / L_c
+
+``P·n_c`` is fixed for the run and memoised on the encoder, so encoding
+all C classes costs one mat-vec ``P·Σctx`` plus a (C, D) normalization.
+Every context row receives the same gradient, so the M rows move in
+lockstep and only Σctx matters to the embeddings.
+
 Only the context rows ever receive gradients; token vectors and the
 projection are frozen at construction. The synthetic vision encoder is a
 fixed random affine map followed by L2 normalization; a cache-backed
@@ -61,26 +71,32 @@ class ContextVectors:
 
 @dataclass
 class TextGradTape:
-    """Closure over one text encoding, exposing the exact vector-Jacobian product.
+    """Closure over one encoding of all classes, exposing the exact vector-Jacobian product.
 
-    ``vjp(g)`` maps dLoss/dEmbedding (length D) to dLoss/dContext
-    (M x d_tok). Mean pooling makes every context row receive the same
-    gradient. Tapes are single-use bookkeeping, not shared across threads.
+    The forward pass was ``raw_c = (P·Σctx + P·n_c) / L_c`` and
+    ``u_c = raw_c / ||raw_c||``. ``vjp(g)`` maps dLoss/dEmbeddings (C x D)
+    to dLoss/dContext (M x d_tok) with one mat-vec:
+
+        row = P.T @ Σ_c g_raw_c / L_c,   g_raw_c = (g_c - (g_c·u_c) u_c) / ||raw_c||
+
+    tiled over the M rows. Mean pooling gives every context row the same
+    gradient, so the rows move in lockstep. Tapes are single-use
+    bookkeeping, not shared across threads.
     """
 
     projection: np.ndarray  # (D, d_tok), frozen
-    unit: np.ndarray        # embedding after normalization
-    raw_norm: float         # ||raw|| before normalization
-    seq_len: int            # context rows + class-name tokens
+    unit: np.ndarray        # (C, D) embeddings after normalization
+    raw_norm: np.ndarray    # (C,) ||raw_c|| before normalization
+    seq_len: np.ndarray     # (C,) context rows + class-name tokens
     ctx_rows: int
 
     def vjp(self, grad_embedding: np.ndarray) -> np.ndarray:
         g = np.asarray(grad_embedding, dtype=np.float64)
         if g.shape != self.unit.shape:
-            raise DataError(f"gradient has shape {g.shape}, embedding has {self.unit.shape}")
-        g_raw = (g - np.dot(g, self.unit) * self.unit) / self.raw_norm
-        g_pooled = self.projection.T @ g_raw
-        row = g_pooled / self.seq_len
+            raise DataError(f"gradient has shape {g.shape}, embeddings have {self.unit.shape}")
+        radial = np.einsum("cd,cd->c", g, self.unit)
+        g_raw = (g - radial[:, None] * self.unit) / self.raw_norm[:, None]
+        row = self.projection.T @ (g_raw / self.seq_len[:, None]).sum(axis=0)
         return np.tile(row, (self.ctx_rows, 1))
 
 
@@ -108,6 +124,7 @@ class SyntheticTextEncoder:
         self.projection = rng.standard_normal((embedding_dim, token_width)) / np.sqrt(token_width)
         self.projection.setflags(write=False)
         self._token_cache: dict[str, np.ndarray] = {}
+        self._name_cache: dict[str, tuple[np.ndarray, int]] = {}
 
     def tokenize(self, text: str) -> list[str]:
         return text.split()
@@ -126,6 +143,16 @@ class SyntheticTextEncoder:
         if not tokens:
             return np.zeros((0, self.token_width))
         return np.stack([self.token_vector(t) for t in tokens])
+
+    def name_projection(self, name: str) -> tuple[np.ndarray, int]:
+        """``(P·n, token count)`` for a class name, n being its token-vector sum."""
+        cached = self._name_cache.get(name)
+        if cached is None:
+            rows = self.token_vectors(name)
+            projected = self.projection @ rows.sum(axis=0)
+            projected.setflags(write=False)
+            cached = self._name_cache[name] = (projected, rows.shape[0])
+        return cached
 
     def parameter_digest(self) -> str:
         """Stable digest of the frozen parameters, for freeze checks."""
@@ -160,25 +187,28 @@ def init_context(handle: SyntheticTextEncoder, init_text: str, length: int) -> C
 def encode_text_with_context(
     handle: SyntheticTextEncoder,
     ctx: ContextVectors,
-    class_name: str,
+    class_names: list[str],
 ) -> tuple[np.ndarray, TextGradTape]:
-    """Encode [context ; class-name tokens] into a unit embedding plus its tape."""
+    """Encode [context ; class-name tokens] for every class: (C, D) unit rows plus one tape."""
     if ctx.token_width != handle.token_width:
         raise DataError(
             f"context width {ctx.token_width} does not match handle width {handle.token_width}"
         )
-    name_rows = handle.token_vectors(class_name)
-    seq_len = ctx.length + name_rows.shape[0]
-    pooled = (ctx.vectors.sum(axis=0) + name_rows.sum(axis=0)) / seq_len
-    raw = handle.projection @ pooled
-    norm = float(np.linalg.norm(raw))
-    if norm == 0.0:
-        raise DataError(f"degenerate zero embedding for class {class_name!r}")
-    unit = raw / norm
+    if not class_names:
+        raise DataError("no class names to encode")
+    names = [handle.name_projection(name) for name in class_names]
+    seq_len = np.array([ctx.length + n_tokens for _, n_tokens in names], dtype=np.float64)
+    ctx_raw = handle.projection @ ctx.vectors.sum(axis=0)
+    raw = (ctx_raw + np.stack([row for row, _ in names])) / seq_len[:, None]
+    norms = np.linalg.norm(raw, axis=1)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise DataError(f"degenerate zero embedding for class {class_names[zero[0]]!r}")
+    unit = raw / norms[:, None]
     tape = TextGradTape(
         projection=handle.projection,
         unit=unit,
-        raw_norm=norm,
+        raw_norm=norms,
         seq_len=seq_len,
         ctx_rows=ctx.length,
     )

@@ -29,10 +29,11 @@ from .backbone import (
     SyntheticTextEncoder,
     SyntheticVisionEncoder,
     encode_text_bank,
+    encode_text_with_context,
 )
 from .ensemble import mean_ensemble, write_score_report
 from .errors import BmcoopError, ConfigError, DataError, NumericError
-from .objective import class_probabilities, encode_classes, predict
+from .objective import class_probabilities, predict
 from .types import SPLITS, ClassCatalog, EmbeddingMatrix, RunConfig
 
 log = logging.getLogger("bmcoop.cli")
@@ -354,7 +355,7 @@ def cmd_eval(cfg: LoadedConfig) -> None:
         class_embeds = mean_ensemble(_bank_embeddings(cfg, catalog))
     else:
         ctx = _context_for_eval(cfg, handle)
-        class_embeds, _ = encode_classes(handle, ctx, catalog.names)
+        class_embeds, _ = encode_text_with_context(handle, ctx, catalog.names)
     probs = class_probabilities(images, class_embeds, handle.tau)
     acc = evaluation.accuracy(predict(probs), labels)
 
@@ -381,14 +382,14 @@ def cmd_base_to_novel(cfg: LoadedConfig) -> None:
 
     def _split_accuracy(names: list[str]) -> float:
         images, labels = _test_batch(cfg, catalog, manifest, source, names)
-        embeds, _ = encode_classes(handle, state.ctx, names)
+        embeds, _ = encode_text_with_context(handle, state.ctx, names)
         probs = class_probabilities(images, embeds, handle.tau)
         return evaluation.accuracy(predict(probs), labels)
 
     base_acc = _split_accuracy(base_names)
     novel_acc = _split_accuracy(novel_names)
     all_images, all_labels = _test_batch(cfg, catalog, manifest, source, catalog.names)
-    all_embeds, _ = encode_classes(handle, state.ctx, catalog.names)
+    all_embeds, _ = encode_text_with_context(handle, state.ctx, catalog.names)
     overall = evaluation.accuracy(predict(class_probabilities(all_images, all_embeds, handle.tau)), all_labels)
 
     report = evaluation.EvalReport(

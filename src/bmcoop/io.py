@@ -94,9 +94,13 @@ def load_prompt_bank(path: str | Path) -> PromptBank:
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: invalid JSON: {e}") from e
     try:
-        classes = doc["classes"]
-        prompts = {c["name"]: c["prompts"] for c in classes}
-        modalities = {c["name"]: c.get("modality", "") for c in classes}
+        prompts, modalities = {}, {}
+        for position, c in enumerate(doc["classes"]):
+            name = c["name"]
+            if name in prompts:
+                raise DataError(f"{path}: class {name!r} repeated at position {position}")
+            prompts[name] = c["prompts"]
+            modalities[name] = c.get("modality", "")
     except (KeyError, TypeError) as e:
         raise DataError(f"{path}: malformed prompt bank document ({e})") from e
     for name, plist in prompts.items():

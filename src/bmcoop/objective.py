@@ -12,7 +12,7 @@ Three terms, combined as  total = ce + lambda1 * consistency + lambda2 * distill
 
 Gradients with respect to the context are exact and hand-written: each
 loss is differentiated to dLoss/dTextEmbedding and chained through the
-per-class encoder tapes. The teacher ensemble and all bank embeddings
+encoder's one tape over all classes. The teacher ensemble and all bank embeddings
 contribute zero gradient.
 """
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import ContextVectors, SyntheticTextEncoder, TextGradTape, encode_text_with_context
+from .backbone import ContextVectors, SyntheticTextEncoder, encode_text_with_context
 from .errors import DataError
 
 
@@ -213,20 +213,6 @@ def kdsp_grad_wrt_text(
     return _chain_logits_to_text(grad_logits, v_unit, text, tau)
 
 
-def encode_classes(
-    handle: SyntheticTextEncoder,
-    ctx: ContextVectors,
-    class_names: list[str],
-) -> tuple[np.ndarray, list[TextGradTape]]:
-    """Encode every class name with the shared context; returns (C, D) plus tapes."""
-    embeds, tapes = [], []
-    for name in class_names:
-        e, tape = encode_text_with_context(handle, ctx, name)
-        embeds.append(e)
-        tapes.append(tape)
-    return np.stack(embeds), tapes
-
-
 def loss_gradient(
     handle: SyntheticTextEncoder,
     ctx: ContextVectors,
@@ -243,7 +229,7 @@ def loss_gradient(
     Terms with a zero weight are skipped entirely, so a lambda1=lambda2=0
     call follows the exact same arithmetic as a CE-only objective.
     """
-    text, tapes = encode_classes(handle, ctx, class_names)
+    text, tape = encode_text_with_context(handle, ctx, class_names)
     breakdown = total_loss(
         images, labels, text, ensemble_mean, teacher_ensemble,
         handle.tau, lambda1, lambda2,
@@ -255,7 +241,4 @@ def loss_gradient(
         grad_text = grad_text + lambda2 * kdsp_grad_wrt_text(
             images, text, teacher_ensemble, handle.tau
         )
-    grad_ctx = np.zeros_like(ctx.vectors)
-    for tape, g_row in zip(tapes, grad_text):
-        grad_ctx += tape.vjp(g_row)
-    return breakdown, grad_ctx
+    return breakdown, tape.vjp(grad_text)

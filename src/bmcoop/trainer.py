@@ -15,13 +15,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import ContextVectors, SyntheticTextEncoder, init_context
+from .backbone import (
+    ContextVectors,
+    SyntheticTextEncoder,
+    encode_text_with_context,
+    init_context,
+)
 from .ensemble import PromptScoreReport, mean_ensemble, score_and_select, selected_ensemble
 from .errors import DataError, NumericError
 from .objective import (
     LossBreakdown,
     class_probabilities,
-    encode_classes,
     loss_gradient,
     predict,
 )
@@ -217,7 +221,7 @@ def _accuracy_with_context(
     images: np.ndarray,
     labels: np.ndarray,
 ) -> float:
-    text, _ = encode_classes(handle, ctx, class_names)
+    text, _ = encode_text_with_context(handle, ctx, class_names)
     probs = class_probabilities(images, text, handle.tau)
     return float(np.mean(predict(probs) == labels))
 

@@ -6,6 +6,7 @@ order (order of appearance in the catalog file, never re-sorted).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterator
 
@@ -190,6 +191,9 @@ class RunConfig:
         self.validate()
 
     def validate(self) -> None:
+        for key in ("lambda1", "lambda2", "zeta_s", "beta", "tau", "learning_rate"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)!r}")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ConfigError("lambda1 and lambda2 must be >= 0")
         for key in ("zeta_s", "beta", "tau", "learning_rate"):

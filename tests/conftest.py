@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bmcoop.backbone import SyntheticTextEncoder
+from bmcoop.objective import ce_grad_wrt_text
 from bmcoop.types import RunConfig
 
 DESK_NAMES = ["glioma tumor", "meningioma tumor", "normal brain"]
@@ -84,6 +85,33 @@ def build_desk_task(
             v -= (v @ c) * c
         centroids.append(v / np.linalg.norm(v))
     return DeskTask(handle=handle, centroids=np.stack(centroids), names=list(DESK_NAMES))
+
+
+def per_class_encode(handle: SyntheticTextEncoder, vectors: np.ndarray, name: str):
+    """One class by the unbatched formula: (unit embedding, ||raw||, sequence length)."""
+    name_rows = handle.token_vectors(name)
+    seq_len = vectors.shape[0] + name_rows.shape[0]
+    pooled = (vectors.sum(axis=0) + name_rows.sum(axis=0)) / seq_len
+    raw = handle.projection @ pooled
+    norm = float(np.linalg.norm(raw))
+    return raw / norm, norm, seq_len
+
+
+def per_class_vjp(handle, unit, norm, seq_len, g, ctx_rows):
+    """dLoss/dContext of one class from its embedding gradient ``g``."""
+    g_raw = (g - np.dot(g, unit) * unit) / norm
+    return np.tile(handle.projection.T @ g_raw / seq_len, (ctx_rows, 1))
+
+
+def per_class_ce_grad(handle, vectors, names, images, labels) -> np.ndarray:
+    """CE gradient w.r.t. the context with one encode and one VJP per class."""
+    encoded = [per_class_encode(handle, vectors, name) for name in names]
+    text = np.stack([unit for unit, _, _ in encoded])
+    grad_text = ce_grad_wrt_text(images, text, labels, handle.tau)
+    grad = np.zeros_like(vectors)
+    for (unit, norm, seq_len), g in zip(encoded, grad_text):
+        grad += per_class_vjp(handle, unit, norm, seq_len, g, vectors.shape[0])
+    return grad
 
 
 def build_planted_outlier(seed: int, n_prompts: int = 50, dim: int = 24):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from bmcoop.backbone import SyntheticTextEncoder, init_context
+from bmcoop.backbone import SyntheticTextEncoder, encode_text_with_context, init_context
 from bmcoop.cli import run as cli_run
 from bmcoop.ensemble import (
     mad_zscores,
@@ -22,9 +22,7 @@ from bmcoop.ensemble import (
 from bmcoop.evaluation import harmonic_mean
 from bmcoop.io import EmbeddingMatrix, write_cache_index, write_embedding_cache
 from bmcoop.objective import (
-    ce_grad_wrt_text,
     class_probabilities,
-    encode_classes,
     kdsp_loss,
     loss_gradient,
     predict,
@@ -32,7 +30,7 @@ from bmcoop.objective import (
     total_loss,
 )
 from bmcoop.trainer import FewShotSupportSet, prepare_ensembles, train_run
-from conftest import build_desk_task, build_planted_outlier
+from conftest import build_desk_task, build_planted_outlier, per_class_ce_grad
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -107,7 +105,7 @@ def test_criterion_2_gradient_exactness():
                         def f(vectors):
                             c = ctx.copy()
                             c.vectors = vectors
-                            text, _ = encode_classes(handle, c, names)
+                            text, _ = encode_text_with_context(handle, c, names)
                             return total_loss(
                                 v, labels, text, pg, ps, handle.tau, lambda1, lambda2
                             ).total
@@ -268,12 +266,7 @@ def test_criterion_4_coop_reduction_bit_identical():
         order = rng.permutation(images.shape[0])
         for s in range(0, images.shape[0], cfg.batch_size):
             batch = order[s : s + cfg.batch_size]
-            ctx.vectors = vectors
-            text, tapes = encode_classes(handle, ctx, task.names)
-            grad_text = ce_grad_wrt_text(images[batch], text, labels[batch], handle.tau)
-            grad = np.zeros_like(vectors)
-            for tape, row in zip(tapes, grad_text):
-                grad += tape.vjp(row)
+            grad = per_class_ce_grad(handle, vectors, task.names, images[batch], labels[batch])
             vectors = (
                 (vectors - cfg.learning_rate * grad).astype(np.float32).astype(np.float64)
             )
@@ -340,7 +333,7 @@ def test_criterion_6_desk_scale_learning():
     )
 
     def accuracy_of(state, images, labels):
-        text, _ = encode_classes(task.handle, state.ctx, task.names)
+        text, _ = encode_text_with_context(task.handle, state.ctx, task.names)
         probs = class_probabilities(images, text, task.handle.tau)
         return float(np.mean(predict(probs) == labels))
 

@@ -13,6 +13,7 @@ from bmcoop.backbone import (
 )
 from bmcoop.errors import DataError
 from bmcoop.types import EmbeddingMatrix, PromptBank
+from conftest import per_class_encode, per_class_vjp
 
 
 class TestInitContext:
@@ -51,21 +52,26 @@ class TestInitContext:
 class TestEncodeTextWithContext:
     def test_deterministic(self, small_handle):
         ctx = init_context(small_handle, "a photo of a", 4)
-        e1, _ = encode_text_with_context(small_handle, ctx, "glioma")
-        e2, _ = encode_text_with_context(small_handle, ctx, "glioma")
+        e1, _ = encode_text_with_context(small_handle, ctx, ["glioma"])
+        e2, _ = encode_text_with_context(small_handle, ctx, ["glioma"])
         assert np.array_equal(e1, e2)
 
     def test_unit_norm(self, small_handle):
         ctx = init_context(small_handle, "a photo of a", 4)
         for name in ("glioma", "meningioma tumor", "normal brain scan"):
-            e, _ = encode_text_with_context(small_handle, ctx, name)
-            assert abs(np.linalg.norm(e) - 1.0) < 1e-6
+            e, _ = encode_text_with_context(small_handle, ctx, [name])
+            assert abs(np.linalg.norm(e[0]) - 1.0) < 1e-6
 
     def test_width_mismatch_rejected(self, small_handle):
         other = SyntheticTextEncoder(seed=5, embedding_dim=12, token_width=30)
         ctx = init_context(other, "a photo of a", 4)
         with pytest.raises(DataError, match="width"):
-            encode_text_with_context(small_handle, ctx, "glioma")
+            encode_text_with_context(small_handle, ctx, ["glioma"])
+
+    def test_no_class_names_rejected(self, small_handle):
+        ctx = init_context(small_handle, "a photo of a", 4)
+        with pytest.raises(DataError, match="no class names"):
+            encode_text_with_context(small_handle, ctx, [])
 
     def test_tape_matches_central_differences(self, small_handle):
         """Random contexts and random downstream linear losses vs the tape."""
@@ -77,8 +83,8 @@ class TestEncodeTextWithContext:
             name = "glioma tumor"
             # random downstream scalar loss L = w . embedding
             w = rng.standard_normal(small_handle.embedding_dim)
-            _, tape = encode_text_with_context(small_handle, ctx, name)
-            analytic = tape.vjp(w)
+            _, tape = encode_text_with_context(small_handle, ctx, [name])
+            analytic = tape.vjp(w[None, :])
             fd = np.zeros_like(ctx.vectors)
             for i in range(ctx.vectors.shape[0]):
                 for j in range(ctx.vectors.shape[1]):
@@ -86,19 +92,71 @@ class TestEncodeTextWithContext:
                     vp.vectors[i, j] += eps
                     vm = ctx.copy()
                     vm.vectors[i, j] -= eps
-                    ep, _ = encode_text_with_context(small_handle, vp, name)
-                    em, _ = encode_text_with_context(small_handle, vm, name)
-                    fd[i, j] = (w @ ep - w @ em) / (2 * eps)
+                    ep, _ = encode_text_with_context(small_handle, vp, [name])
+                    em, _ = encode_text_with_context(small_handle, vm, [name])
+                    fd[i, j] = (w @ ep[0] - w @ em[0]) / (2 * eps)
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-7)
             assert np.max(np.abs(analytic - fd) / denom) < 1e-4
 
     def test_mean_pool_gives_identical_row_gradients(self, small_handle):
         ctx = init_context(small_handle, "a photo of a", 4)
-        _, tape = encode_text_with_context(small_handle, ctx, "glioma")
+        _, tape = encode_text_with_context(small_handle, ctx, ["glioma"])
         g = np.random.default_rng(0).standard_normal(small_handle.embedding_dim)
-        grad = tape.vjp(g)
+        grad = tape.vjp(g[None, :])
         for row in grad[1:]:
             assert np.array_equal(row, grad[0])
+
+
+class TestBatchedAgainstPerClass:
+    """The one-tape path against the unbatched per-class formula."""
+
+    WORDS = ["glioma", "tumor", "normal", "brain", "cyst", "benign", "lesion"]
+
+    @pytest.mark.parametrize("n_classes", [1, 3, 8])
+    @pytest.mark.parametrize("ctx_rows", [1, 4])
+    def test_embeddings_and_vjp_match(self, n_classes, ctx_rows):
+        rng = np.random.default_rng(100 * n_classes + ctx_rows)
+        for _ in range(4):
+            dim, width = rng.integers(2, 9, size=2)
+            handle = SyntheticTextEncoder(
+                seed=int(rng.integers(1000)), embedding_dim=dim, token_width=width
+            )
+            names = [
+                " ".join(rng.choice(self.WORDS, size=rng.integers(1, 4)))
+                for _ in range(n_classes)
+            ]
+            ctx = init_context(handle, "", ctx_rows)
+            ctx.vectors = rng.standard_normal(ctx.vectors.shape) * 0.3
+            unit, tape = encode_text_with_context(handle, ctx, names)
+            g = rng.standard_normal((n_classes, dim))
+            grad = tape.vjp(g)
+
+            expected_grad = np.zeros_like(ctx.vectors)
+            for c, name in enumerate(names):
+                e, norm, seq_len = per_class_encode(handle, ctx.vectors, name)
+                assert np.max(np.abs(unit[c] - e)) < 1e-12
+                expected_grad += per_class_vjp(handle, e, norm, seq_len, g[c], ctx_rows)
+            assert grad.shape == (ctx_rows, width)
+            assert np.max(np.abs(grad - expected_grad)) < 1e-12
+            for row in grad[1:]:
+                assert np.array_equal(row, grad[0])
+
+    def test_zero_embedding_names_the_class(self):
+        # a 1-d map, with the context set to minus the name token so P·Σctx + P·n is exactly 0
+        handle = SyntheticTextEncoder(seed=4, embedding_dim=1, token_width=1)
+        ctx = init_context(handle, "", 1)
+        ctx.vectors = -handle.token_vectors("lesion")
+        with pytest.raises(DataError, match="'lesion'"):
+            encode_text_with_context(handle, ctx, ["cyst", "lesion"])
+
+    def test_name_projection_is_memoised_read_only(self, small_handle):
+        row, n_tokens = small_handle.name_projection("glioma tumor")
+        again, n_again = small_handle.name_projection("glioma tumor")
+        assert n_tokens == n_again == 2
+        assert again is row
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 1.0
 
 
 class TestEncodeTextBank:
@@ -207,8 +265,7 @@ class TestFreezing:
     def test_text_parameters_unchanged_by_use(self, small_handle):
         before = small_handle.parameter_digest()
         ctx = init_context(small_handle, "a photo of a", 4)
-        for name in ("glioma", "meningioma", "pituitary"):
-            encode_text_with_context(small_handle, ctx, name)
+        encode_text_with_context(small_handle, ctx, ["glioma", "meningioma", "pituitary"])
         encode_text_bank(
             small_handle,
             PromptBank(prompts={"x": ["some finding"]}, modalities={"x": "mri"}),

@@ -55,6 +55,20 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match=key):
                 parse_config(self.write(tmp_path, {key: value}))
 
+    def test_non_finite_json_rejected(self, tmp_path):
+        # Python's json module reads the NaN and Infinity literals
+        for text in ('{"lambda1": NaN, "tau": NaN}', '{"beta": Infinity}',
+                     '{"learning_rate": -Infinity}'):
+            path = tmp_path / "config.json"
+            path.write_text(text)
+            with pytest.raises(ConfigError, match="must be finite"):
+                parse_config(path)
+
+    def test_non_finite_override_rejected(self, tmp_path):
+        for item in ("learning_rate=nan", "tau=inf", "zeta_s=-inf", "lambda2=NaN"):
+            with pytest.raises(ConfigError, match=f"{item.split('=')[0]} must be finite"):
+                parse_config(self.write(tmp_path, {}), [item])
+
     def test_overrides_apply(self, tmp_path):
         cfg = parse_config(self.write(tmp_path, {"seed": 1}), ["seed=9", "lambda1=0.75"])
         assert cfg.run.seed == 9

@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmcoop.backbone import SyntheticTextEncoder, init_context
+from bmcoop.backbone import SyntheticTextEncoder, encode_text_with_context, init_context
 from bmcoop.errors import DataError
 from bmcoop.objective import (
     LossBreakdown,
     _ce_from_logits,
     class_probabilities,
-    encode_classes,
     kdsp_loss,
     loss_gradient,
     predict,
@@ -225,7 +224,7 @@ def finite_difference_grad(handle, ctx, names, v, labels, pg, ps, l1, l2, eps=1e
     def f(vectors):
         c = ctx.copy()
         c.vectors = vectors
-        text, _ = encode_classes(handle, c, names)
+        text, _ = encode_text_with_context(handle, c, names)
         return total_loss(v, labels, text, pg, ps, handle.tau, l1, l2).total
 
     fd = np.zeros_like(ctx.vectors)
@@ -291,12 +290,12 @@ class TestLossGradient:
             [float(sympy.diff(loss, s).subs(point)) for s in (x1, x2)]
         )
 
-        from bmcoop.backbone import ContextVectors, encode_text_with_context
+        from bmcoop.backbone import ContextVectors
         from bmcoop.objective import sccm_grad_wrt_text
 
         ctx = ContextVectors(vectors=np.array([[0.21, -0.4]]))
-        embed_val, tape = encode_text_with_context(handle, ctx, name)
-        grad = tape.vjp(sccm_grad_wrt_text(embed_val[None, :], target[None, :])[0])
+        embed_val, tape = encode_text_with_context(handle, ctx, [name])
+        grad = tape.vjp(sccm_grad_wrt_text(embed_val, target[None, :]))
         assert np.max(np.abs(grad[0] - symbolic)) < 1e-10
 
     def test_near_zero_gradient_at_saturated_ce(self, small_handle):
@@ -307,7 +306,7 @@ class TestLossGradient:
         # zero context rows keep the class embeddings far apart here
         ctx = ContextVectors(vectors=np.zeros((2, small_handle.token_width)))
         names = ["alpha beta gamma delta", "omega sigma rho pi"]
-        text, _ = encode_classes(small_handle, ctx, names)
+        text, _ = encode_text_with_context(small_handle, ctx, names)
         v = text.copy()  # images exactly on the class embeddings
         labels = np.array([0, 1])
         bd, grad = loss_gradient(

@@ -7,7 +7,6 @@ import pytest
 
 from bmcoop.backbone import init_context
 from bmcoop.errors import DataError, NumericError
-from bmcoop.objective import ce_grad_wrt_text, encode_classes
 from bmcoop.trainer import (
     FewShotSupportSet,
     initial_state,
@@ -18,6 +17,7 @@ from bmcoop.trainer import (
     train_run,
     write_training_log,
 )
+from conftest import per_class_ce_grad
 from bmcoop.types import ClassCatalog, ClassEntry, DatasetManifest, ManifestRecord
 
 
@@ -127,12 +127,9 @@ class TestTrainRun:
             order = rng.permutation(images.shape[0])
             for start in range(0, images.shape[0], cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
-                ctx.vectors = vectors
-                text, tapes = encode_classes(handle, ctx, desk_task.names)
-                grad_text = ce_grad_wrt_text(images[batch], text, labels[batch], handle.tau)
-                grad = np.zeros_like(vectors)
-                for tape, row in zip(tapes, grad_text):
-                    grad += tape.vjp(row)
+                grad = per_class_ce_grad(
+                    handle, vectors, desk_task.names, images[batch], labels[batch]
+                )
                 vectors = (vectors - cfg.learning_rate * grad).astype(np.float32).astype(np.float64)
         assert np.array_equal(state.ctx.vectors, vectors)
 

@@ -237,6 +237,17 @@ class TestPromptBank:
             with pytest.raises(DataError, match="list of strings"):
                 load_prompt_bank(path)
 
+    def test_repeated_class_named_with_position(self, tmp_path):
+        path = tmp_path / "bank.json"
+        classes = [
+            {"name": "a", "prompts": ["x y"]},
+            {"name": "b", "prompts": ["u v"]},
+            {"name": "a", "prompts": ["z w"]},
+        ]
+        path.write_text(json.dumps({"classes": classes}))
+        with pytest.raises(DataError, match="class 'a' repeated at position 2"):
+            load_prompt_bank(path)
+
     def test_validate_missing_class(self):
         bank = self.make_bank()
         with pytest.raises(DataError, match="missing"):
@@ -287,6 +298,10 @@ class TestRunConfig:
             RunConfig(tau=0.0)
         with pytest.raises(ConfigError):
             RunConfig(context_length=0)
+        for key in ("lambda1", "lambda2", "zeta_s", "beta", "tau", "learning_rate"):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ConfigError, match=f"{key} must be finite"):
+                    RunConfig(**{key: value})
 
     def test_with_overrides_unknown_key(self):
         with pytest.raises(ConfigError, match="lamda1"):
