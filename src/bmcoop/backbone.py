@@ -237,7 +237,7 @@ def encode_text_bank(
         if not prompts:
             raise DataError(f"class {name!r} has an empty prompt list")
         rows = np.stack([encode_text_plain(handle, p) for p in prompts])
-        out[name] = EmbeddingMatrix(values=rows, axis="per-prompt", normalized=True)
+        out[name] = EmbeddingMatrix(values=rows, normalized=True)
     return out
 
 
@@ -267,7 +267,7 @@ class SyntheticVisionEncoder:
         norms = np.linalg.norm(raw, axis=1, keepdims=True)
         if np.any(norms == 0.0):
             raise DataError("a feature row mapped to the zero vector and cannot be normalized")
-        return EmbeddingMatrix(values=raw / norms, axis="per-image", normalized=True)
+        return EmbeddingMatrix(values=raw / norms, normalized=True)
 
 
 @dataclass
@@ -283,15 +283,14 @@ class CachedVisionSource:
             raise DataError(f"cache index points outside the matrix: rows {sorted(set(bad))}")
 
     def encode(self, item_ids: list[str]) -> EmbeddingMatrix:
-        rows = []
-        for item_id in item_ids:
-            if item_id not in self.index:
-                raise DataError(f"item id {item_id!r} not present in the embedding cache index")
-            rows.append(self.matrix.values[self.index[item_id]])
-        if not rows:
-            return EmbeddingMatrix(values=np.zeros((0, self.matrix.dim)), axis="per-image")
-        raw = np.stack(rows).astype(np.float64)
+        try:
+            rows = [self.index[item_id] for item_id in item_ids]
+        except KeyError as e:
+            raise DataError(
+                f"item id {e.args[0]!r} not present in the embedding cache index"
+            ) from None
+        raw = self.matrix.values[np.asarray(rows, dtype=np.intp)].astype(np.float64)
         norms = np.linalg.norm(raw, axis=1, keepdims=True)
         if np.any(norms == 0.0):
             raise DataError("cached embedding row has zero norm")
-        return EmbeddingMatrix(values=raw / norms, axis="per-image", normalized=True)
+        return EmbeddingMatrix(values=raw / norms, normalized=True)

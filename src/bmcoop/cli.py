@@ -185,45 +185,41 @@ def _load_inputs(cfg: LoadedConfig):
     return catalog, manifest, CachedVisionSource(matrix=matrix, index=index)
 
 
-def _bank_embeddings(cfg: LoadedConfig, catalog: ClassCatalog) -> list[np.ndarray]:
-    """Per-class (N, D) arrays from the stacked class-major bank cache."""
-    cache = io.read_embedding_cache(cfg.path("bank_cache", required=True), axis="per-prompt")
+def _bank_embeddings(cfg: LoadedConfig, catalog: ClassCatalog) -> np.ndarray:
+    """The class-major bank cache as one (C, N, D) array in catalog order."""
+    cache = io.read_embedding_cache(cfg.path("bank_cache", required=True))
     n_classes = len(catalog)
     if cache.row_count == 0 or cache.row_count % n_classes != 0:
         raise DataError(
             f"bank cache has {cache.row_count} rows, not a multiple of "
             f"{n_classes} classes"
         )
-    per_class = cache.row_count // n_classes
-    values = cache.values.astype(np.float64)
-    return [values[c * per_class : (c + 1) * per_class] for c in range(n_classes)]
+    return cache.values.astype(np.float64).reshape(n_classes, -1, cache.dim)
 
 
-def _test_batch(cfg, catalog, manifest, source, class_names: list[str]):
-    """Embeddings and labels for the eval split, restricted to ``class_names``."""
-    records = [
-        r for r in manifest.items(split=cfg.values["eval_split"])
-        if r.class_name in set(class_names)
-    ]
-    if not records:
-        raise DataError(
-            f"no items in split {cfg.values['eval_split']!r} for the requested classes"
-        )
+def _eval_split(cfg: LoadedConfig, catalog: ClassCatalog, manifest, source):
+    """Image rows of the eval split, in manifest order, and their catalog positions."""
+    records = manifest.items(split=cfg.values["eval_split"])
+    position = {name: c for c, name in enumerate(catalog.names)}
     images = source.encode([r.item_id for r in records]).values
-    labels = np.asarray([class_names.index(r.class_name) for r in records], dtype=np.intp)
+    labels = np.array([position[r.class_name] for r in records], dtype=np.intp)
     return images, labels
+
+
+def _accuracy(class_embeds, images, labels, first: int, tau: float) -> float:
+    """Accuracy on the images of the catalog classes ``first .. first + len(class_embeds)``
+    (``class_embeds`` holds their rows), each classified among those classes only."""
+    rows = (labels >= first) & (labels < first + len(class_embeds))
+    if not rows.any():
+        raise DataError("no items in the eval split for the requested classes")
+    probs = class_probabilities(images[rows], class_embeds, tau)
+    return evaluation.accuracy(predict(probs), labels[rows] - first)
 
 
 def _context_for_eval(cfg: LoadedConfig, handle: SyntheticTextEncoder):
     ckpt = cfg.path("checkpoint")
     if ckpt is not None:
-        state = trainer.load_checkpoint(ckpt)
-        if state.ctx.token_width != handle.token_width:
-            raise DataError(
-                f"checkpoint width {state.ctx.token_width} does not match "
-                f"encoder width {handle.token_width}"
-            )
-        return state.ctx
+        return trainer.load_checkpoint(ckpt).ctx
     # no checkpoint: fresh template-initialized context (zero-shot)
     return trainer.initial_state(handle, cfg.run).ctx
 
@@ -260,7 +256,7 @@ def cmd_encode_bank(cfg: LoadedConfig) -> None:
     per_class = encode_text_bank(handle, bank)
     stacked = np.vstack([per_class[entry.name].values for entry in catalog])
     out = cfg.path("bank_cache", required=True)
-    io.write_embedding_cache(EmbeddingMatrix(values=stacked, axis="per-prompt"), out)
+    io.write_embedding_cache(EmbeddingMatrix(values=stacked), out)
     _write_meta(out, cfg, "encode-bank")
     print(f"wrote bank cache: {out} ({stacked.shape[0]} rows)")
 
@@ -305,23 +301,20 @@ def cmd_select(cfg: LoadedConfig) -> None:
     print(f"wrote prompt score report: {out}")
 
 
-def _train_common(cfg, catalog, manifest, source, handle, class_names: list[str], epochs: int):
-    """Train the context on ``class_names``; returns (state, epoch logs)."""
+def _train_common(cfg, catalog, manifest, source, handle, keep: slice, epochs: int):
+    """Train the context on the catalog classes ``keep``; returns (state, epoch logs)."""
     run = cfg.run.with_overrides(epochs=epochs)
+    class_names = catalog.names[keep]
 
     support = trainer.sample_few_shot(
-        manifest, catalog, run.shots, run.seed,
-        class_names=class_names if class_names != catalog.names else None,
+        manifest, catalog, run.shots, run.seed, class_names=class_names
     )
     support = support.with_embeddings(source.encode(support.item_ids).values)
 
     ensemble_mean_arr = teacher = None
     if run.lambda1 != 0.0 or run.lambda2 != 0.0:
-        bank_embeds = _bank_embeddings(cfg, catalog)
-        keep = [catalog.names.index(n) for n in class_names]
-        bank_embeds = [bank_embeds[i] for i in keep]
         ensemble_mean_arr, teacher, _ = trainer.prepare_ensembles(
-            class_names, bank_embeds, support.embeddings, run
+            class_names, _bank_embeddings(cfg, catalog)[keep], support.embeddings, run
         )
 
     return trainer.train_run(
@@ -333,7 +326,7 @@ def _train_common(cfg, catalog, manifest, source, handle, class_names: list[str]
 def cmd_train(cfg: LoadedConfig) -> None:
     catalog, manifest, source = _load_inputs(cfg)
     state, logs = _train_common(
-        cfg, catalog, manifest, source, _text_handle(cfg), catalog.names, cfg.run.epochs
+        cfg, catalog, manifest, source, _text_handle(cfg), slice(None), cfg.run.epochs
     )
     out = cfg.out_dir()
     ckpt = out / "checkpoint.ckpt"
@@ -349,15 +342,14 @@ def cmd_train(cfg: LoadedConfig) -> None:
 def cmd_eval(cfg: LoadedConfig) -> None:
     catalog, manifest, source = _load_inputs(cfg)
     handle = _text_handle(cfg)
-    images, labels = _test_batch(cfg, catalog, manifest, source, catalog.names)
+    images, labels = _eval_split(cfg, catalog, manifest, source)
 
     if cfg.values["eval_classifier"] == "ensemble":
         class_embeds = mean_ensemble(_bank_embeddings(cfg, catalog))
     else:
         ctx = _context_for_eval(cfg, handle)
         class_embeds, _ = encode_text_with_context(handle, ctx, catalog.names)
-    probs = class_probabilities(images, class_embeds, handle.tau)
-    acc = evaluation.accuracy(predict(probs), labels)
+    acc = _accuracy(class_embeds, images, labels, 0, handle.tau)
 
     report = evaluation.EvalReport(
         dataset=cfg.values["dataset_name"],
@@ -376,21 +368,17 @@ def cmd_base_to_novel(cfg: LoadedConfig) -> None:
     catalog, manifest, source = _load_inputs(cfg)
     handle = _text_handle(cfg)
     base_names, novel_names = evaluation.base_novel_split(catalog)
+    cut = len(base_names)
     # convention: 50 epochs here unless the config pins epochs explicitly
     epochs = cfg.run.epochs if "epochs" in cfg.explicit else 50
-    state, logs = _train_common(cfg, catalog, manifest, source, handle, base_names, epochs)
+    state, logs = _train_common(cfg, catalog, manifest, source, handle, slice(cut), epochs)
 
-    def _split_accuracy(names: list[str]) -> float:
-        images, labels = _test_batch(cfg, catalog, manifest, source, names)
-        embeds, _ = encode_text_with_context(handle, state.ctx, names)
-        probs = class_probabilities(images, embeds, handle.tau)
-        return evaluation.accuracy(predict(probs), labels)
-
-    base_acc = _split_accuracy(base_names)
-    novel_acc = _split_accuracy(novel_names)
-    all_images, all_labels = _test_batch(cfg, catalog, manifest, source, catalog.names)
-    all_embeds, _ = encode_text_with_context(handle, state.ctx, catalog.names)
-    overall = evaluation.accuracy(predict(class_probabilities(all_images, all_embeds, handle.tau)), all_labels)
+    images, labels = _eval_split(cfg, catalog, manifest, source)
+    # each class row is encoded on its own, so a subset is a slice of the full encode
+    embeds, _ = encode_text_with_context(handle, state.ctx, catalog.names)
+    base_acc = _accuracy(embeds[:cut], images, labels, 0, handle.tau)
+    novel_acc = _accuracy(embeds[cut:], images, labels, cut, handle.tau)
+    overall = _accuracy(embeds, images, labels, 0, handle.tau)
 
     report = evaluation.EvalReport(
         dataset=cfg.values["dataset_name"],

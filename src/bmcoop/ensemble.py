@@ -7,6 +7,9 @@ threshold, and average what survives into the teacher ensemble. The
 plain (unpruned) mean ensemble is kept separately for the consistency
 loss.
 
+The bank is one (C, N, D) array: N prompt embeddings for each of C
+classes in catalog order, so a class subset is a slice of its first axis.
+
 Ensemble rows are plain means and are NOT re-normalized to unit length;
 downstream cosine computations normalize on the fly.
 """
@@ -22,40 +25,43 @@ import numpy as np
 from .errors import DataError
 
 
-def mean_ensemble(bank_embeddings: list[np.ndarray]) -> np.ndarray:
+def _stacked(arrays, dtype, what: str) -> np.ndarray:
+    """One array from an array or a list of equal-shape per-class arrays."""
+    try:
+        return np.asarray(arrays, dtype=dtype)
+    except ValueError as e:
+        raise DataError(f"every class needs the same number of {what} ({e})") from e
+
+
+def _as_bank(bank_embeddings) -> np.ndarray:
+    """The bank as one (C, N, D) float64 array; a list of (N, D) arrays is stacked."""
+    bank = _stacked(bank_embeddings, np.float64, "prompt embeddings")
+    if bank.ndim != 3 or bank.shape[1] < 1:
+        raise DataError(f"prompt bank must be a non-empty (C, N, D) array, got shape {bank.shape}")
+    return bank
+
+
+def mean_ensemble(bank_embeddings: np.ndarray) -> np.ndarray:
     """Average the N prompt embeddings of each class; returns (C, D)."""
-    rows = []
-    for c, embeds in enumerate(bank_embeddings):
-        embeds = np.asarray(embeds, dtype=np.float64)
-        if embeds.ndim != 2 or embeds.shape[0] < 1:
-            raise DataError(f"class {c} has an empty prompt embedding bank")
-        rows.append(embeds.mean(axis=0))
-    return np.stack(rows)
+    return _as_bank(bank_embeddings).mean(axis=1)
 
 
-def prompt_scores(
-    bank_embeddings: list[np.ndarray],
-    images: np.ndarray,
-    beta: float,
-) -> list[np.ndarray]:
+def prompt_scores(bank_embeddings: np.ndarray, images: np.ndarray, beta: float) -> np.ndarray:
     """Score each prompt of each class: mean of beta-scaled dot products over the batch.
 
     ``images`` must be unit-norm rows (B, D); prompt embeddings are unit by
-    construction, so the dot product is the cosine similarity.
+    construction, so the dot product is the cosine similarity. Returns (C, N).
     """
+    bank = _as_bank(bank_embeddings)
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 2 or images.shape[0] < 1:
         raise DataError("prompt scoring needs at least one image")
-    scores = []
-    for embeds in bank_embeddings:
-        embeds = np.asarray(embeds, dtype=np.float64)
-        if embeds.shape[1] != images.shape[1]:
-            raise DataError(
-                f"prompt dim {embeds.shape[1]} does not match image dim {images.shape[1]}"
-            )
-        # (N, D) @ (D, B) -> (N, B), then mean over the batch axis
-        scores.append(beta * (embeds @ images.T).mean(axis=1))
-    return scores
+    if bank.shape[2] != images.shape[1]:
+        raise DataError(
+            f"prompt dim {bank.shape[2]} does not match image dim {images.shape[1]}"
+        )
+    # (C, N, D) @ (D, B) -> (C, N, B), then mean over the batch axis
+    return beta * (bank @ images.T).mean(axis=2)
 
 
 def mad_zscores(scores: np.ndarray) -> tuple[float, float, np.ndarray]:
@@ -93,23 +99,16 @@ def select_prompts(zscores: np.ndarray, zeta_s: float) -> np.ndarray:
     return mask
 
 
-def selected_ensemble(
-    bank_embeddings: list[np.ndarray],
-    masks: list[np.ndarray],
-) -> np.ndarray:
+def selected_ensemble(bank_embeddings: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Average only the selected prompt embeddings of each class; returns (C, D)."""
-    if len(bank_embeddings) != len(masks):
-        raise DataError("one selection mask per class is required")
-    rows = []
-    for c, (embeds, mask) in enumerate(zip(bank_embeddings, masks)):
-        embeds = np.asarray(embeds, dtype=np.float64)
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape[0] != embeds.shape[0]:
-            raise DataError(f"class {c}: mask length {mask.shape[0]} != {embeds.shape[0]} prompts")
-        if not mask.any():
-            raise DataError(f"class {c}: selection mask excludes every prompt")
-        rows.append(embeds[mask].mean(axis=0))
-    return np.stack(rows)
+    bank = _as_bank(bank_embeddings)
+    masks = _stacked(masks, bool, "mask entries")
+    if masks.shape != bank.shape[:2]:
+        raise DataError(f"selection masks have shape {masks.shape}, bank has {bank.shape[:2]}")
+    empty = np.flatnonzero(~masks.any(axis=1))
+    if empty.size:
+        raise DataError(f"class {empty[0]}: selection mask excludes every prompt")
+    return bank.mean(axis=1, where=masks[:, :, None])
 
 
 @dataclass
@@ -142,7 +141,7 @@ class PromptScoreReport:
 
 def score_and_select(
     class_names: list[str],
-    bank_embeddings: list[np.ndarray],
+    bank_embeddings: np.ndarray,
     images: np.ndarray,
     beta: float,
     zeta_s: float,

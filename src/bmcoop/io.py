@@ -39,6 +39,8 @@ def load_catalog(path: str | Path) -> ClassCatalog:
         if len(parts) != 2:
             raise DataError(f"{path}:{lineno}: expected 2 tab-separated fields, got {len(parts)}")
         entries.append(ClassEntry(name=parts[0], modality=parts[1]))
+    if not entries:
+        raise DataError(f"{path}: catalog lists no classes")
     return ClassCatalog(classes=entries)
 
 
@@ -148,7 +150,7 @@ def write_embedding_cache(matrix: EmbeddingMatrix, path: str | Path) -> None:
         raise DataError(f"cannot write embedding cache {path}: {e}") from e
 
 
-def read_embedding_cache(path: str | Path, axis: str = "per-image") -> EmbeddingMatrix:
+def read_embedding_cache(path: str | Path) -> EmbeddingMatrix:
     path = Path(path)
     if not path.exists():
         raise DataError(f"file not found: {path}")
@@ -170,7 +172,7 @@ def read_embedding_cache(path: str | Path, axis: str = "per-image") -> Embedding
     values = np.frombuffer(payload, dtype="<f4").reshape(rows, dim).copy()
     if not np.all(np.isfinite(values)):
         raise DataError(f"{path}: cache contains non-finite values")
-    return EmbeddingMatrix(values=values, axis=axis)
+    return EmbeddingMatrix(values=values)
 
 
 # ── cache index (item_id -> row) ─────────────────────────────────────

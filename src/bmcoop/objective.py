@@ -62,6 +62,10 @@ def cosine_logits(images: np.ndarray, text: np.ndarray, tau: float) -> np.ndarra
         raise DataError(f"tau must be > 0, got {tau}")
     v_unit, _ = _unit_rows(images, "images")
     t_unit, _ = _unit_rows(text, "class embeddings")
+    if v_unit.shape[1] != t_unit.shape[1]:
+        raise DataError(
+            f"image width {v_unit.shape[1]} does not match class-embedding width {t_unit.shape[1]}"
+        )
     return (v_unit @ t_unit.T) / tau
 
 

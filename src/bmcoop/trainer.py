@@ -127,7 +127,7 @@ def initial_state(handle: SyntheticTextEncoder, config: RunConfig) -> TrainState
 
 def prepare_ensembles(
     class_names: list[str],
-    bank_embeddings: list[np.ndarray],
+    bank_embeddings: np.ndarray,
     support_images: np.ndarray,
     config: RunConfig,
 ) -> tuple[np.ndarray, np.ndarray, list[PromptScoreReport]]:

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 SPLITS = ("train", "val", "test")
-AXIS_TAGS = ("per-image", "per-class", "per-prompt")
 
 # Unit-norm tolerance for freshly encoded float64 embeddings.
 NORM_TOL = 1e-6
@@ -28,14 +27,9 @@ def check_finite(values: np.ndarray, what: str) -> None:
 
 @dataclass
 class EmbeddingMatrix:
-    """A stack of same-length embedding rows with a semantic axis tag.
-
-    ``axis`` records what the rows index: images ("per-image"), classes
-    ("per-class") or prompts of one class ("per-prompt").
-    """
+    """A stack of same-length embedding rows."""
 
     values: np.ndarray
-    axis: str = "per-image"
     normalized: bool = False
 
     def __post_init__(self):
@@ -44,8 +38,6 @@ class EmbeddingMatrix:
             raise DataError(
                 f"embedding matrix must be 2-D, got shape {self.values.shape}"
             )
-        if self.axis not in AXIS_TAGS:
-            raise DataError(f"unknown axis tag {self.axis!r}")
         check_finite(self.values, "embedding matrix")
         if self.normalized and self.values.shape[0] > 0:
             norms = np.linalg.norm(self.values.astype(np.float64), axis=1)
@@ -207,6 +199,8 @@ class RunConfig:
                 raise ConfigError(f"{key} must be a positive integer")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     def with_overrides(self, **kwargs) -> "RunConfig":
         known = {f.name for f in fields(self)}

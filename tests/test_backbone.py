@@ -232,7 +232,7 @@ class TestCachedVisionSource:
         rng = np.random.default_rng(9)
         values = rng.standard_normal((rows, dim))
         values /= np.linalg.norm(values, axis=1, keepdims=True)
-        matrix = EmbeddingMatrix(values=values.astype(np.float32), axis="per-image")
+        matrix = EmbeddingMatrix(values=values.astype(np.float32))
         index = {f"img{i}": i for i in range(rows)}
         return CachedVisionSource(matrix=matrix, index=index)
 
@@ -242,6 +242,10 @@ class TestCachedVisionSource:
         assert out.values.shape == (3, 8)
         ref = source.encode(["img3"])
         assert np.array_equal(out.values[0], ref.values[0])
+
+    def test_no_ids_give_an_empty_matrix(self):
+        out = self.make_source().encode([])
+        assert out.values.shape == (0, 8)
 
     def test_missing_id_named(self):
         source = self.make_source()

@@ -9,14 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bmcoop.backbone import SyntheticTextEncoder, encode_text_with_context
 from bmcoop.cli import parse_config, run
 from bmcoop.errors import ConfigError
 from bmcoop.io import (
     EmbeddingMatrix,
+    load_cache_index,
+    read_embedding_cache,
     write_cache_index,
     write_embedding_cache,
     write_prompt_bank,
 )
+from bmcoop.trainer import load_checkpoint
 from bmcoop.types import PromptBank
 from conftest import (
     DESK_DIM,
@@ -137,7 +141,7 @@ def toy_dataset(tmp_path):
 
     bank_cache_path = tmp_path / "bank.emb"
     stacked = np.vstack(task.aligned_bank(n=20)).astype(np.float32)
-    write_embedding_cache(EmbeddingMatrix(values=stacked, axis="per-prompt"), bank_cache_path)
+    write_embedding_cache(EmbeddingMatrix(values=stacked), bank_cache_path)
 
     config = {
         "catalog": str(catalog_path),
@@ -256,6 +260,33 @@ class TestBaseToNovel:
         report = json.loads((tmp_path / "out" / "base_to_novel_report.json").read_text())
         assert report["train_epochs"] == 50
 
+    def test_accuracies_match_per_subset_computation(self, toy_dataset):
+        tmp_path, config, config_path = toy_dataset
+        assert run("base-to-novel", str(config_path)) == 0
+        doc = json.loads((tmp_path / "out" / "base_to_novel_report.json").read_text())
+
+        handle = SyntheticTextEncoder(
+            seed=DESK_ENCODER_SEED, embedding_dim=DESK_DIM, token_width=DESK_WIDTH, tau=0.01
+        )
+        ctx = load_checkpoint(tmp_path / "out" / "checkpoint.ckpt").ctx
+        index = load_cache_index(tmp_path / "images.idx")
+        cache = read_embedding_cache(tmp_path / "images.emb").values.astype(np.float64)
+        records = [line.split("\t") for line in (tmp_path / "manifest.tsv").read_text().splitlines()]
+
+        def subset_accuracy(names):
+            test = [(item, name) for item, name, split in records if split == "test" and name in names]
+            images = cache[[index[item] for item, _ in test]]
+            images /= np.linalg.norm(images, axis=1, keepdims=True)
+            embeds, _ = encode_text_with_context(handle, ctx, names)
+            predicted = np.argmax(images @ embeds.T, axis=1)
+            labels = np.array([names.index(name) for _, name in test])
+            return 100.0 * int(np.sum(predicted == labels)) / len(test)
+
+        names = [line.split("\t")[0] for line in (tmp_path / "catalog.tsv").read_text().splitlines()]
+        assert doc["base"] == subset_accuracy(names[:2])
+        assert doc["novel"] == subset_accuracy(names[2:])
+        assert doc["accuracies"] == [subset_accuracy(names)]
+
 
 class TestEncodeCommands:
     def test_encode_images_synthetic_path(self, tmp_path):
@@ -273,8 +304,6 @@ class TestEncodeCommands:
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps(config))
         assert run("encode-images", str(config_path)) == 0
-        from bmcoop.io import read_embedding_cache
-
         out = read_embedding_cache(tmp_path / "images.emb")
         assert out.values.shape == (10, 16)
         norms = np.linalg.norm(out.values.astype(np.float64), axis=1)
@@ -300,8 +329,7 @@ class TestEncodeCommands:
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps(config))
         assert run("encode-bank", str(config_path)) == 0
-        from bmcoop.backbone import SyntheticTextEncoder, encode_text_plain
-        from bmcoop.io import read_embedding_cache
+        from bmcoop.backbone import encode_text_plain
 
         out = read_embedding_cache(tmp_path / "bank.emb")
         assert out.values.shape == (8, 16)
@@ -325,7 +353,7 @@ class TestSelectCommand:
         )
         write_cache_index(index, tmp_path / "images.idx")
         write_embedding_cache(
-            EmbeddingMatrix(values=bank.astype(np.float32), axis="per-prompt"),
+            EmbeddingMatrix(values=bank.astype(np.float32)),
             tmp_path / "bank.emb",
         )
         config = {
@@ -394,6 +422,39 @@ class TestExitCodes:
         rewrite(config_path, config, checkpoint=str(ckpt))
         assert run("eval", str(config_path)) == 3
         assert "category=data" in capsys.readouterr().err
+
+    def test_negative_seed_is_2(self, toy_dataset, capsys):
+        tmp_path, config, config_path = toy_dataset
+        for command in ("train", "select"):
+            assert run(command, str(config_path), ["seed=-1"]) == 2
+            assert "seed must be >= 0" in capsys.readouterr().err
+
+    def test_width_mismatch_is_3(self, toy_dataset, capsys):
+        tmp_path, config, config_path = toy_dataset
+        # class text 16 wide against the 32-wide image cache
+        assert run("train", str(config_path), ["embedding_dim=16"]) == 3
+        assert "image width 32 does not match class-embedding width 16" in capsys.readouterr().err
+        narrow = tmp_path / "narrow_bank.emb"
+        write_embedding_cache(EmbeddingMatrix(values=np.eye(6, 16, dtype=np.float32)), narrow)
+        rewrite(config_path, config, eval_classifier="ensemble", bank_cache=str(narrow))
+        assert run("eval", str(config_path)) == 3
+        assert "image width 32 does not match class-embedding width 16" in capsys.readouterr().err
+
+    def test_empty_catalog_is_3(self, toy_dataset, capsys):
+        tmp_path, config, config_path = toy_dataset
+        (tmp_path / "empty.tsv").write_text("")
+        (tmp_path / "images.idx").write_text("")
+        (tmp_path / "manifest.tsv").write_text("")
+        write_prompt_bank(
+            PromptBank(prompts={"a": ["a b"]}, modalities={"a": "MRI"}), tmp_path / "bank.json"
+        )
+        rewrite(
+            config_path, config, catalog=str(tmp_path / "empty.tsv"),
+            bank=str(tmp_path / "bank.json"), lambda1=0.5,
+        )
+        for command in ("select", "train", "encode-bank"):
+            assert run(command, str(config_path)) == 3, command
+            assert "empty.tsv: catalog lists no classes" in capsys.readouterr().err
 
     def test_network_error_is_5(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("BMCOOP_API_KEY", raising=False)

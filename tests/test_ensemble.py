@@ -195,6 +195,29 @@ class TestSelectedEnsemble:
             selected_ensemble([np.ones((3, 4))], [np.zeros(3, dtype=bool)])
 
 
+class TestBankShape:
+    def test_ragged_bank_rejected(self):
+        ragged = [np.ones((2, 4)), np.ones((3, 4))]
+        for call in (
+            lambda: mean_ensemble(ragged),
+            lambda: prompt_scores(ragged, np.ones((1, 4)), beta=1.0),
+            lambda: selected_ensemble(ragged, [np.ones(2, dtype=bool), np.ones(3, dtype=bool)]),
+        ):
+            with pytest.raises(DataError, match="same number of prompt embeddings"):
+                call()
+        with pytest.raises(DataError, match="same number of mask entries"):
+            selected_ensemble(np.ones((2, 3, 4)), [np.ones(3, dtype=bool), np.ones(2, dtype=bool)])
+
+    def test_list_and_array_agree(self):
+        rng = np.random.default_rng(9)
+        banks = [unit_rows(rng, 7, 5) for _ in range(3)]
+        images = unit_rows(rng, 4, 5)
+        stacked = np.stack(banks)
+        assert prompt_scores(stacked, images, 100.0).shape == (3, 7)
+        assert np.array_equal(prompt_scores(banks, images, 100.0), prompt_scores(stacked, images, 100.0))
+        assert np.array_equal(mean_ensemble(banks), mean_ensemble(stacked))
+
+
 class TestScaleInvariance:
     def test_beta_rescaling_preserves_selection(self):
         rng = np.random.default_rng(7)

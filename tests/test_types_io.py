@@ -144,9 +144,9 @@ class TestEmbeddingCache:
         rng = np.random.default_rng(3)
         rows = rng.standard_normal((4, 512)).astype(np.float32)
         path = tmp_path / "classes.emb"
-        write_embedding_cache(EmbeddingMatrix(values=rows, axis="per-class"), path)
+        write_embedding_cache(EmbeddingMatrix(values=rows), path)
         assert path.stat().st_size == len(CACHE_MAGIC) + 8 + 4 * 512 * 4
-        back = read_embedding_cache(path, axis="per-class")
+        back = read_embedding_cache(path)
         assert back.values.shape == (4, 512)
 
     def test_magic_mismatch(self, tmp_path):
@@ -274,10 +274,6 @@ class TestEmbeddingMatrixInvariants:
         with pytest.raises(DataError, match="non-finite"):
             EmbeddingMatrix(values=np.array([[np.inf, 0.0]]))
 
-    def test_unknown_axis_rejected(self):
-        with pytest.raises(DataError, match="axis"):
-            EmbeddingMatrix(values=np.ones((1, 2)), axis="per-whatever")
-
 
 class TestRunConfig:
     def test_defaults(self):
@@ -302,6 +298,8 @@ class TestRunConfig:
             for value in (float("nan"), float("inf"), float("-inf")):
                 with pytest.raises(ConfigError, match=f"{key} must be finite"):
                     RunConfig(**{key: value})
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            RunConfig(seed=-1)
 
     def test_with_overrides_unknown_key(self):
         with pytest.raises(ConfigError, match="lamda1"):
