@@ -263,11 +263,20 @@ class SyntheticVisionEncoder:
                 f"expected features of shape (B, {self.feature_dim}), got {feats.shape}"
             )
         check_finite(feats, "image features")
-        raw = feats @ self.projection.T + self.bias
+        raw = feats @ self.projection.T
+        raw += self.bias
         norms = np.linalg.norm(raw, axis=1, keepdims=True)
         if np.any(norms == 0.0):
             raise DataError("a feature row mapped to the zero vector and cannot be normalized")
-        return EmbeddingMatrix(values=raw / norms, normalized=True)
+        raw /= norms
+        return EmbeddingMatrix(values=raw, normalized=True)
+
+
+def check_index_rows(index: dict[str, int], row_count: int) -> None:
+    """Reject a cache index that points outside a matrix of ``row_count`` rows."""
+    bad = [i for i in index.values() if not 0 <= i < row_count]
+    if bad:
+        raise DataError(f"cache index points outside the matrix: rows {sorted(set(bad))}")
 
 
 @dataclass
@@ -278,9 +287,7 @@ class CachedVisionSource:
     index: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        bad = [i for i in self.index.values() if not 0 <= i < self.matrix.row_count]
-        if bad:
-            raise DataError(f"cache index points outside the matrix: rows {sorted(set(bad))}")
+        check_index_rows(self.index, self.matrix.row_count)
 
     def encode(self, item_ids: list[str]) -> EmbeddingMatrix:
         try:
@@ -293,4 +300,5 @@ class CachedVisionSource:
         norms = np.linalg.norm(raw, axis=1, keepdims=True)
         if np.any(norms == 0.0):
             raise DataError("cached embedding row has zero norm")
-        return EmbeddingMatrix(values=raw / norms, normalized=True)
+        raw /= norms
+        return EmbeddingMatrix(values=raw, normalized=True)

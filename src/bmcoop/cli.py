@@ -28,12 +28,13 @@ from .backbone import (
     CachedVisionSource,
     SyntheticTextEncoder,
     SyntheticVisionEncoder,
+    check_index_rows,
     encode_text_bank,
     encode_text_with_context,
 )
 from .ensemble import mean_ensemble, write_score_report
 from .errors import BmcoopError, ConfigError, DataError, NumericError
-from .objective import class_probabilities, predict
+from .objective import cosine_logits, predict
 from .types import SPLITS, ClassCatalog, EmbeddingMatrix, RunConfig
 
 log = logging.getLogger("bmcoop.cli")
@@ -206,14 +207,15 @@ def _eval_split(cfg: LoadedConfig, catalog: ClassCatalog, manifest, source):
     return images, labels
 
 
-def _accuracy(class_embeds, images, labels, first: int, tau: float) -> float:
-    """Accuracy on the images of the catalog classes ``first .. first + len(class_embeds)``
-    (``class_embeds`` holds their rows), each classified among those classes only."""
-    rows = (labels >= first) & (labels < first + len(class_embeds))
+def _accuracy(logits: np.ndarray, labels: np.ndarray, first: int, stop: int) -> float:
+    """Accuracy on the images of the catalog classes ``first .. stop - 1``, each
+    classified among those classes only. ``logits`` scores every eval image
+    against every catalog class; a row's cosine logits do not depend on the
+    other rows or columns, so a subset is a slice of it."""
+    rows = (labels >= first) & (labels < stop)
     if not rows.any():
         raise DataError("no items in the eval split for the requested classes")
-    probs = class_probabilities(images[rows], class_embeds, tau)
-    return evaluation.accuracy(predict(probs), labels[rows] - first)
+    return evaluation.accuracy(predict(logits[rows, first:stop]), labels[rows] - first)
 
 
 def _context_for_eval(cfg: LoadedConfig, handle: SyntheticTextEncoder):
@@ -264,13 +266,14 @@ def cmd_encode_bank(cfg: LoadedConfig) -> None:
 def cmd_encode_images(cfg: LoadedConfig) -> None:
     features = io.read_embedding_cache(cfg.path("features_cache", required=True))
     index = io.load_cache_index(cfg.path("features_index", required=True))
+    check_index_rows(index, features.row_count)
     run = cfg.run
     encoder = SyntheticVisionEncoder(
         seed=run.encoder_seed,
         feature_dim=features.dim,
         embedding_dim=run.embedding_dim,
     )
-    embedded = encoder.encode(features.values.astype(np.float64))
+    embedded = encoder.encode(features.values)
     out_cache = cfg.path("image_cache", required=True)
     out_index = cfg.path("image_index", required=True)
     io.write_embedding_cache(embedded, out_cache)
@@ -349,7 +352,7 @@ def cmd_eval(cfg: LoadedConfig) -> None:
     else:
         ctx = _context_for_eval(cfg, handle)
         class_embeds, _ = encode_text_with_context(handle, ctx, catalog.names)
-    acc = _accuracy(class_embeds, images, labels, 0, handle.tau)
+    acc = _accuracy(cosine_logits(images, class_embeds, handle.tau), labels, 0, len(catalog))
 
     report = evaluation.EvalReport(
         dataset=cfg.values["dataset_name"],
@@ -374,11 +377,13 @@ def cmd_base_to_novel(cfg: LoadedConfig) -> None:
     state, logs = _train_common(cfg, catalog, manifest, source, handle, slice(cut), epochs)
 
     images, labels = _eval_split(cfg, catalog, manifest, source)
-    # each class row is encoded on its own, so a subset is a slice of the full encode
+    # each class row is encoded on its own, so the base and novel classes are
+    # column slices of one scoring of the full catalog
     embeds, _ = encode_text_with_context(handle, state.ctx, catalog.names)
-    base_acc = _accuracy(embeds[:cut], images, labels, 0, handle.tau)
-    novel_acc = _accuracy(embeds[cut:], images, labels, cut, handle.tau)
-    overall = _accuracy(embeds, images, labels, 0, handle.tau)
+    logits = cosine_logits(images, embeds, handle.tau)
+    base_acc = _accuracy(logits, labels, 0, cut)
+    novel_acc = _accuracy(logits, labels, cut, len(catalog))
+    overall = _accuracy(logits, labels, 0, len(catalog))
 
     report = evaluation.EvalReport(
         dataset=cfg.values["dataset_name"],

@@ -8,8 +8,10 @@ implementation in any language reads it bit-identically.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -133,6 +135,24 @@ def write_prompt_bank(bank: PromptBank, path: str | Path) -> None:
 
 # ── binary embedding cache ───────────────────────────────────────────
 
+def write_atomic(path: str | Path, write: Callable[[BinaryIO], None]) -> None:
+    """Call ``write`` on a temporary file beside ``path``, then rename it over ``path``.
+
+    A reader sees the previous file or the whole new one, never a partial
+    write; if ``write`` or the rename fails, the previous file is left as it
+    was and the temporary file is removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_embedding_cache(matrix: EmbeddingMatrix, path: str | Path) -> None:
     """Serialize as magic + u32 rows + u32 dim + row-major little-endian float32.
 
@@ -141,38 +161,45 @@ def write_embedding_cache(matrix: EmbeddingMatrix, path: str | Path) -> None:
     """
     values = np.ascontiguousarray(matrix.values, dtype="<f4")
     rows, dim = values.shape
+
+    def write(fh: BinaryIO) -> None:
+        fh.write(CACHE_MAGIC)
+        fh.write(_HEADER.pack(rows, dim))
+        values.tofile(fh)
+
     try:
-        with open(path, "wb") as fh:
-            fh.write(CACHE_MAGIC)
-            fh.write(_HEADER.pack(rows, dim))
-            fh.write(values.tobytes(order="C"))
+        write_atomic(path, write)
     except OSError as e:
         raise DataError(f"cannot write embedding cache {path}: {e}") from e
 
 
 def read_embedding_cache(path: str | Path) -> EmbeddingMatrix:
+    """Read a cache written by ``write_embedding_cache``; the payload is read
+    straight into the returned float32 array, with no intermediate copy."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"file not found: {path}")
-    blob = path.read_bytes()
-    if len(blob) < len(CACHE_MAGIC) or blob[: len(CACHE_MAGIC)] != CACHE_MAGIC:
-        raise DataError(f"{path}: bad magic, not an embedding cache")
-    offset = len(CACHE_MAGIC)
-    if len(blob) < offset + _HEADER.size:
-        raise DataError(f"{path}: truncated header")
-    rows, dim = _HEADER.unpack_from(blob, offset)
-    offset += _HEADER.size
-    expected = rows * dim * 4
-    payload = blob[offset:]
-    if len(payload) != expected:
-        raise DataError(
-            f"{path}: truncated payload, header declares {rows}x{dim} "
-            f"({expected} bytes) but found {len(payload)}"
-        )
-    values = np.frombuffer(payload, dtype="<f4").reshape(rows, dim).copy()
-    if not np.all(np.isfinite(values)):
-        raise DataError(f"{path}: cache contains non-finite values")
-    return EmbeddingMatrix(values=values)
+    with open(path, "rb") as fh:
+        head = fh.read(len(CACHE_MAGIC) + _HEADER.size)
+        if head[: len(CACHE_MAGIC)] != CACHE_MAGIC:
+            raise DataError(f"{path}: bad magic, not an embedding cache")
+        if len(head) < len(CACHE_MAGIC) + _HEADER.size:
+            raise DataError(f"{path}: truncated header")
+        rows, dim = _HEADER.unpack_from(head, len(CACHE_MAGIC))
+        expected = rows * dim * 4
+        found = os.fstat(fh.fileno()).st_size - len(head)
+        if found != expected:
+            raise DataError(
+                f"{path}: truncated payload, header declares {rows}x{dim} "
+                f"({expected} bytes) but found {found}"
+            )
+        values = np.empty((rows, dim), dtype="<f4")
+        if fh.readinto(values) != expected:
+            raise DataError(f"{path}: file shrank while it was read")
+    try:
+        return EmbeddingMatrix(values=values)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from e
 
 
 # ── cache index (item_id -> row) ─────────────────────────────────────

@@ -80,7 +80,11 @@ def class_probabilities(images: np.ndarray, text: np.ndarray, tau: float) -> np.
 
 
 def predict(probabilities: np.ndarray) -> np.ndarray:
-    """Index of the most probable class per row; ties go to the lowest index."""
+    """Index of the most probable class per row; ties go to the lowest index.
+
+    Softmax keeps the order within a row, so the (B, C) logits the
+    probabilities come from may be passed in their place.
+    """
     probabilities = np.asarray(probabilities)
     if probabilities.ndim != 2 or probabilities.shape[0] < 1:
         raise DataError("predict expects a non-empty (B, C) probability matrix")

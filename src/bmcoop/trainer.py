@@ -12,6 +12,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .backbone import (
 )
 from .ensemble import PromptScoreReport, mean_ensemble, score_and_select, selected_ensemble
 from .errors import DataError, NumericError
+from .io import write_atomic
 from .objective import (
     LossBreakdown,
     class_probabilities,
@@ -263,13 +265,16 @@ def save_checkpoint(state: TrainState, path: str | Path) -> None:
     ctx32 = np.ascontiguousarray(state.ctx.vectors, dtype="<f4")
     rows, width = ctx32.shape
     rng_blob = _pack_rng_state(state.rng)
-    with open(path, "wb") as fh:
+
+    def write(fh: BinaryIO) -> None:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<III", CKPT_VERSION, rows, width))
         fh.write(ctx32.tobytes(order="C"))
         fh.write(struct.pack("<I", state.epoch))
         fh.write(struct.pack("<I", len(rng_blob)))
         fh.write(rng_blob)
+
+    write_atomic(path, write)
 
 
 def load_checkpoint(path: str | Path) -> TrainState:

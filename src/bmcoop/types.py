@@ -40,7 +40,7 @@ class EmbeddingMatrix:
             )
         check_finite(self.values, "embedding matrix")
         if self.normalized and self.values.shape[0] > 0:
-            norms = np.linalg.norm(self.values.astype(np.float64), axis=1)
+            norms = np.linalg.norm(np.asarray(self.values, dtype=np.float64), axis=1)
             bad = np.abs(norms - 1.0) > NORM_TOL
             if np.any(bad):
                 raise DataError(

@@ -209,6 +209,13 @@ class TestVisionEncoder:
         oracle = raw / np.linalg.norm(raw)
         assert np.allclose(enc.encode(x).values[0], oracle)
 
+    def test_bits_match_out_of_place_formula(self):
+        enc = SyntheticVisionEncoder(seed=7, feature_dim=12, embedding_dim=20)
+        x = np.random.default_rng(3).standard_normal((50, 12)) * 4.0
+        raw = x @ enc.projection.T + enc.bias
+        expected = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        assert np.array_equal(enc.encode(x).values, expected)
+
     def test_zero_rejected(self):
         # a 1-d map, so that P @ (pinv(P) @ -b) cancels the bias exactly
         enc = SyntheticVisionEncoder(seed=4, feature_dim=1, embedding_dim=1)
@@ -256,6 +263,16 @@ class TestCachedVisionSource:
         source = self.make_source()
         out = source.encode([f"img{i}" for i in range(5)])
         assert np.max(np.abs(np.linalg.norm(out.values, axis=1) - 1.0)) < 1e-12
+
+    def test_bits_match_out_of_place_formula(self):
+        values = np.random.default_rng(5).standard_normal((40, 8)).astype(np.float32) * 3.0
+        source = CachedVisionSource(
+            matrix=EmbeddingMatrix(values=values), index={f"img{i}": i for i in range(40)}
+        )
+        order = np.random.default_rng(6).permutation(40)[:25]
+        rows = values[order].astype(np.float64)
+        expected = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        assert np.array_equal(source.encode([f"img{i}" for i in order]).values, expected)
 
     def test_index_outside_matrix_rejected(self):
         with pytest.raises(DataError, match="outside"):

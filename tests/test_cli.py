@@ -11,7 +11,9 @@ import pytest
 
 from bmcoop.backbone import SyntheticTextEncoder, encode_text_with_context
 from bmcoop.cli import parse_config, run
+from bmcoop.ensemble import mean_ensemble
 from bmcoop.errors import ConfigError
+from bmcoop.evaluation import accuracy
 from bmcoop.io import (
     EmbeddingMatrix,
     load_cache_index,
@@ -20,6 +22,7 @@ from bmcoop.io import (
     write_embedding_cache,
     write_prompt_bank,
 )
+from bmcoop.objective import class_probabilities, predict
 from bmcoop.trainer import load_checkpoint
 from bmcoop.types import PromptBank
 from conftest import (
@@ -230,6 +233,37 @@ class TestTrainEval:
         # aligned bank means are near the class centroids: high accuracy
         assert doc["mean"] > 90.0
 
+    def test_eval_accuracy_matches_class_probabilities(self, toy_dataset):
+        tmp_path, config, config_path = toy_dataset
+        rewrite(config_path, config, epochs=3)
+        assert run("train", str(config_path)) == 0
+
+        handle = SyntheticTextEncoder(
+            seed=DESK_ENCODER_SEED, embedding_dim=DESK_DIM, token_width=DESK_WIDTH, tau=0.01
+        )
+        names = [line.split("\t")[0] for line in (tmp_path / "catalog.tsv").read_text().splitlines()]
+        index = load_cache_index(tmp_path / "images.idx")
+        cache = read_embedding_cache(tmp_path / "images.emb").values.astype(np.float64)
+        records = [line.split("\t") for line in (tmp_path / "manifest.tsv").read_text().splitlines()]
+        test = [(item, name) for item, name, split in records if split == "test"]
+        images = cache[[index[item] for item, _ in test]]
+        labels = np.array([names.index(name) for _, name in test])
+        ctx = load_checkpoint(tmp_path / "out" / "checkpoint.ckpt").ctx
+        bank = read_embedding_cache(tmp_path / "bank.emb").values.astype(np.float64)
+        classifiers = {
+            "context": encode_text_with_context(handle, ctx, names)[0],
+            "ensemble": mean_ensemble(bank.reshape(len(names), -1, bank.shape[1])),
+        }
+        for classifier, embeds in classifiers.items():
+            rewrite(
+                config_path, config, eval_classifier=classifier,
+                checkpoint=str(tmp_path / "out" / "checkpoint.ckpt"),
+            )
+            assert run("eval", str(config_path)) == 0
+            doc = json.loads((tmp_path / "out" / "eval_report.json").read_text())
+            predicted = predict(class_probabilities(images, embeds, 0.01))
+            assert doc["accuracies"] == [accuracy(predicted, labels)], classifier
+
     def test_eval_report_is_deterministic(self, toy_dataset):
         tmp_path, config, config_path = toy_dataset
         run("eval", str(config_path))
@@ -289,11 +323,11 @@ class TestBaseToNovel:
 
 
 class TestEncodeCommands:
-    def test_encode_images_synthetic_path(self, tmp_path):
+    def features_config(self, tmp_path, index):
         rng = np.random.default_rng(0)
         feats = rng.standard_normal((10, 6)).astype(np.float32)
         write_embedding_cache(EmbeddingMatrix(values=feats), tmp_path / "feats.emb")
-        write_cache_index({f"it{i}": i for i in range(10)}, tmp_path / "feats.idx")
+        write_cache_index(index, tmp_path / "feats.idx")
         config = {
             "features_cache": str(tmp_path / "feats.emb"),
             "features_index": str(tmp_path / "feats.idx"),
@@ -303,11 +337,22 @@ class TestEncodeCommands:
         }
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps(config))
+        return config_path
+
+    def test_encode_images_synthetic_path(self, tmp_path):
+        config_path = self.features_config(tmp_path, {f"it{i}": i for i in range(10)})
         assert run("encode-images", str(config_path)) == 0
         out = read_embedding_cache(tmp_path / "images.emb")
         assert out.values.shape == (10, 16)
         norms = np.linalg.norm(out.values.astype(np.float64), axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-5
+
+    def test_encode_images_rejects_index_outside_features(self, tmp_path, capsys):
+        config_path = self.features_config(tmp_path, {"it0": 0, "it1": 999999})
+        assert run("encode-images", str(config_path)) == 3
+        assert "cache index points outside the matrix: rows [999999]" in capsys.readouterr().err
+        assert not (tmp_path / "images.emb").exists()
+        assert not (tmp_path / "images.idx").exists()
 
     def test_encode_bank_stacks_catalog_order(self, tmp_path):
         (tmp_path / "catalog.tsv").write_text("benign\tultrasound\nmalignant\tultrasound\n")

@@ -1,6 +1,8 @@
 """Support sampling, the SGD loop, and checkpoint/resume determinism."""
 
+import dataclasses
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -246,6 +248,18 @@ class TestCheckpoints:
                 make_support(desk_task), desk_task.names, small_handle,
                 desk_task.config(epochs=2), state=loaded,
             )
+
+    def test_failed_save_keeps_previous_checkpoint(self, desk_task, tmp_path):
+        cfg = desk_task.config(epochs=1)
+        state, _ = train_run(make_support(desk_task), desk_task.names, desk_task.handle, cfg)
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(state, path)
+        before = path.read_bytes()
+        # the epoch is packed after the context payload, so this fails mid-write
+        with pytest.raises(struct.error):
+            save_checkpoint(dataclasses.replace(state, epoch=-1), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ckpt"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"

@@ -1,6 +1,8 @@
 """Core types and file formats: manifests, catalogs, banks, embedding caches."""
 
 import json
+import os
+import struct
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from bmcoop.io import (
     load_manifest,
     load_prompt_bank,
     read_embedding_cache,
+    write_atomic,
     write_cache_index,
     write_catalog,
     write_embedding_cache,
@@ -164,6 +167,10 @@ class TestEmbeddingCache:
         path.write_bytes(blob[: len(blob) - 8])  # drop one row
         with pytest.raises(DataError, match="truncated"):
             read_embedding_cache(path)
+        # a corrupt header declaring an absurd size fails before any allocation
+        path.write_bytes(CACHE_MAGIC + struct.pack("<II", 2**32 - 1, 2**32 - 1) + bytes(8))
+        with pytest.raises(DataError, match="truncated"):
+            read_embedding_cache(path)
 
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "nan.emb"
@@ -172,8 +179,23 @@ class TestEmbeddingCache:
         blob = bytearray(path.read_bytes())
         blob[-4:] = np.float32("nan").tobytes()
         path.write_bytes(bytes(blob))
-        with pytest.raises(DataError, match="non-finite"):
+        with pytest.raises(DataError, match="non-finite") as err:
             read_embedding_cache(path)
+        assert str(path) in str(err.value)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.emb"
+        write_embedding_cache(EmbeddingMatrix(values=np.ones((2, 3), dtype=np.float32)), path)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(DataError, match="rename refused"):
+            write_embedding_cache(EmbeddingMatrix(values=np.zeros((4, 3), dtype=np.float32)), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.emb"]
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -189,6 +211,28 @@ class TestEmbeddingCache:
         path = tmp_path_factory.mktemp("prop") / "m.emb"
         write_embedding_cache(EmbeddingMatrix(values=values), path)
         assert np.array_equal(read_embedding_cache(path).values, values)
+
+
+class TestWriteAtomic:
+    def test_failure_mid_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"previous")
+
+        def write(fh):
+            fh.write(b"partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            write_atomic(path, write)
+        assert path.read_bytes() == b"previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_replaces_the_whole_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"a much longer previous content")
+        write_atomic(path, lambda fh: fh.write(b"new"))
+        assert path.read_bytes() == b"new"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
 
 class TestCacheIndex:
