@@ -38,7 +38,6 @@ from .io import (
     load_prompt_bank,
     read_embedding_cache,
     write_embedding_cache,
-    write_manifest,
     write_prompt_bank,
 )
 from .objective import (
@@ -64,7 +63,6 @@ from .types import (
     ClassEntry,
     DatasetManifest,
     EmbeddingMatrix,
-    ManifestRecord,
     PromptBank,
     RunConfig,
 )

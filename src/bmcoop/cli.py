@@ -110,11 +110,9 @@ def parse_config(path: str | Path, overrides: list[str] | None = None) -> Loaded
     Overrides are ``key=value`` pairs referencing run-config keys only.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+        doc = json.loads(io.read_text(path, "config file", ConfigError))
+    except (ValueError, RecursionError) as e:
         raise ConfigError(f"{path}: invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -160,8 +158,9 @@ def _write_meta(artifact: Path, cfg: LoadedConfig, command: str) -> None:
         "created_unix": time.time(),
         "host": platform.node(),
     }
-    artifact.with_suffix(artifact.suffix + ".meta").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    io.write_text(
+        artifact.with_suffix(artifact.suffix + ".meta"),
+        json.dumps(meta, indent=2, sort_keys=True) + "\n",
     )
 
 
@@ -198,13 +197,11 @@ def _bank_embeddings(cfg: LoadedConfig, catalog: ClassCatalog) -> np.ndarray:
     return cache.values.astype(np.float64).reshape(n_classes, -1, cache.dim)
 
 
-def _eval_split(cfg: LoadedConfig, catalog: ClassCatalog, manifest, source):
+def _eval_split(cfg: LoadedConfig, manifest, source):
     """Image rows of the eval split, in manifest order, and their catalog positions."""
-    records = manifest.items(split=cfg.values["eval_split"])
-    position = {name: c for c, name in enumerate(catalog.names)}
-    images = source.encode([r.item_id for r in records]).values
-    labels = np.array([position[r.class_name] for r in records], dtype=np.intp)
-    return images, labels
+    rows = np.flatnonzero(manifest.in_split(cfg.values["eval_split"]))
+    images = source.encode([manifest.item_ids[i] for i in rows]).values
+    return images, manifest.labels[rows]
 
 
 def _accuracy(logits: np.ndarray, labels: np.ndarray, first: int, stop: int) -> float:
@@ -309,9 +306,7 @@ def _train_common(cfg, catalog, manifest, source, handle, keep: slice, epochs: i
     run = cfg.run.with_overrides(epochs=epochs)
     class_names = catalog.names[keep]
 
-    support = trainer.sample_few_shot(
-        manifest, catalog, run.shots, run.seed, class_names=class_names
-    )
+    support = trainer.sample_few_shot(manifest, catalog, run.shots, run.seed, keep)
     support = support.with_embeddings(source.encode(support.item_ids).values)
 
     ensemble_mean_arr = teacher = None
@@ -345,7 +340,7 @@ def cmd_train(cfg: LoadedConfig) -> None:
 def cmd_eval(cfg: LoadedConfig) -> None:
     catalog, manifest, source = _load_inputs(cfg)
     handle = _text_handle(cfg)
-    images, labels = _eval_split(cfg, catalog, manifest, source)
+    images, labels = _eval_split(cfg, manifest, source)
 
     if cfg.values["eval_classifier"] == "ensemble":
         class_embeds = mean_ensemble(_bank_embeddings(cfg, catalog))
@@ -376,7 +371,7 @@ def cmd_base_to_novel(cfg: LoadedConfig) -> None:
     epochs = cfg.run.epochs if "epochs" in cfg.explicit else 50
     state, logs = _train_common(cfg, catalog, manifest, source, handle, slice(cut), epochs)
 
-    images, labels = _eval_split(cfg, catalog, manifest, source)
+    images, labels = _eval_split(cfg, manifest, source)
     # each class row is encoded on its own, so the base and novel classes are
     # column slices of one scoring of the full catalog
     embeds, _ = encode_text_with_context(handle, state.ctx, catalog.names)

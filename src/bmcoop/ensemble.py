@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .io import write_text
 
 
 def _stacked(arrays, dtype, what: str) -> np.ndarray:
@@ -171,6 +172,4 @@ def write_score_report(
 ) -> None:
     doc = dict(header or {})
     doc["classes"] = [r.to_dict() for r in reports]
-    Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .io import write_text
 from .types import ClassCatalog
 
 SPLIT_RULE = "first ceil(C/2) catalog classes are base, remainder novel"
@@ -114,10 +115,7 @@ class EvalReport:
         return doc
 
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_text(path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def render_table(reports: list[EvalReport]) -> str:

@@ -11,18 +11,17 @@ import json
 import os
 import struct
 from pathlib import Path
-from typing import BinaryIO, Callable
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
-from .errors import DataError
+from .errors import BmcoopError, DataError
 from .types import (
     SPLITS,
     ClassCatalog,
     ClassEntry,
     DatasetManifest,
     EmbeddingMatrix,
-    ManifestRecord,
     PromptBank,
 )
 
@@ -30,72 +29,122 @@ CACHE_MAGIC = b"BMCEMB1"  # 7 bytes
 _HEADER = struct.Struct("<II")  # row_count, dim
 
 
+# ── files ────────────────────────────────────────────────────────────
+
+def write_atomic(path: str | Path, write: Callable[[BinaryIO], None]) -> None:
+    """Call ``write`` on a temporary file beside ``path``, then rename it over ``path``.
+
+    A reader sees the previous file or the whole new one, never a partial
+    write; if ``write`` or the rename fails, the previous file is left as it
+    was and the temporary file is removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _unreadable(path: Path, e: OSError, what: str, error: type[BmcoopError]) -> BmcoopError:
+    if isinstance(e, FileNotFoundError):
+        return error(f"{what} not found: {path}")
+    return error(f"cannot read {path}: {e.strerror or e}")
+
+
+def read_file(path: Path, what: str = "file", error: type[BmcoopError] = DataError) -> bytes:
+    """The bytes of ``path``; a missing or unreadable path (a directory, say)
+    raises ``error`` naming it."""
+    try:
+        return path.read_bytes()
+    except OSError as e:
+        raise _unreadable(path, e, what, error) from None
+
+
+def read_text(path: Path, what: str = "file", error: type[BmcoopError] = DataError) -> str:
+    """The UTF-8 text of ``path``; any other bytes raise ``error`` naming it."""
+    try:
+        return read_file(path, what, error).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text (invalid byte at offset {e.start})") from None
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 through ``write_atomic``; a failed write is a ``DataError``."""
+    try:
+        write_atomic(path, lambda fh: fh.write(text.encode("utf-8")))
+    except OSError as e:
+        raise DataError(f"cannot write {path}: {e}") from e
+
+
+def _read_table(path: Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each non-blank line of a tab-separated file."""
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise DataError(
+                f"{path}:{lineno}: expected {n_fields} tab-separated fields, got {len(fields)}"
+            )
+        yield lineno, fields
+
+
 # ── catalog ──────────────────────────────────────────────────────────
 
 def load_catalog(path: str | Path) -> ClassCatalog:
     """Read a catalog file: one `name<TAB>modality` line per class, in canonical order."""
     path = Path(path)
-    entries = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{path}:{lineno}: expected 2 tab-separated fields, got {len(parts)}")
-        entries.append(ClassEntry(name=parts[0], modality=parts[1]))
+    entries = [ClassEntry(name, modality) for _, (name, modality) in _read_table(path, 2)]
     if not entries:
         raise DataError(f"{path}: catalog lists no classes")
     return ClassCatalog(classes=entries)
 
 
 def write_catalog(catalog: ClassCatalog, path: str | Path) -> None:
-    lines = [f"{c.name}\t{c.modality}\n" for c in catalog]
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    write_text(path, "".join(f"{c.name}\t{c.modality}\n" for c in catalog))
 
 
 # ── manifest ─────────────────────────────────────────────────────────
 
 def load_manifest(path: str | Path, catalog: ClassCatalog) -> DatasetManifest:
-    """Read `item_id<TAB>class_name<TAB>split` lines, validating against the catalog."""
+    """Read `item_id<TAB>class_name<TAB>split` lines into columns, mapping each
+    class name to its catalog position and each split to its index in ``SPLITS``."""
     path = Path(path)
-    known = set(catalog.names)
-    records = []
+    position = {name: c for c, name in enumerate(catalog.names)}
+    code = {split: s for s, split in enumerate(SPLITS)}
+    item_ids: list[str] = []
+    labels: list[int] = []
+    splits: list[int] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
-        item_id, class_name, split = parts
+    for lineno, (item_id, class_name, split) in _read_table(path, 3):
         if item_id in seen:
             raise DataError(f"{path}:{lineno}: duplicate item id {item_id!r}")
         seen.add(item_id)
-        if class_name not in known:
+        if class_name not in position:
             raise DataError(f"{path}:{lineno}: unknown class {class_name!r}")
-        if split not in SPLITS:
+        if split not in code:
             raise DataError(f"{path}:{lineno}: malformed split value {split!r}")
-        records.append(ManifestRecord(item_id=item_id, class_name=class_name, split=split))
-    return DatasetManifest(records=records)
-
-
-def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
-    lines = [f"{r.item_id}\t{r.class_name}\t{r.split}\n" for r in manifest.records]
-    Path(path).write_text("".join(lines), encoding="utf-8")
-
-
-def _read_lines(path: Path) -> list[str]:
-    if not path.exists():
-        raise DataError(f"file not found: {path}")
-    text = path.read_text(encoding="utf-8")
-    return [line for line in text.splitlines() if line.strip()]
+        item_ids.append(item_id)
+        labels.append(position[class_name])
+        splits.append(code[split])
+    return DatasetManifest(
+        item_ids=item_ids,
+        labels=np.array(labels, dtype=np.intp),
+        splits=np.array(splits, dtype=np.int8),
+    )
 
 
 # ── prompt bank JSON ─────────────────────────────────────────────────
 
 def load_prompt_bank(path: str | Path) -> PromptBank:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"file not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+        doc = json.loads(read_text(path))
+    except (ValueError, RecursionError) as e:
         raise DataError(f"{path}: invalid JSON: {e}") from e
     try:
         prompts, modalities = {}, {}
@@ -127,31 +176,10 @@ def write_prompt_bank(bank: PromptBank, path: str | Path) -> None:
             for name, plist in bank.prompts.items()
         ],
     }
-    Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 # ── binary embedding cache ───────────────────────────────────────────
-
-def write_atomic(path: str | Path, write: Callable[[BinaryIO], None]) -> None:
-    """Call ``write`` on a temporary file beside ``path``, then rename it over ``path``.
-
-    A reader sees the previous file or the whole new one, never a partial
-    write; if ``write`` or the rename fails, the previous file is left as it
-    was and the temporary file is removed.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
 
 def write_embedding_cache(matrix: EmbeddingMatrix, path: str | Path) -> None:
     """Serialize as magic + u32 rows + u32 dim + row-major little-endian float32.
@@ -177,25 +205,26 @@ def read_embedding_cache(path: str | Path) -> EmbeddingMatrix:
     """Read a cache written by ``write_embedding_cache``; the payload is read
     straight into the returned float32 array, with no intermediate copy."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"file not found: {path}")
-    with open(path, "rb") as fh:
-        head = fh.read(len(CACHE_MAGIC) + _HEADER.size)
-        if head[: len(CACHE_MAGIC)] != CACHE_MAGIC:
-            raise DataError(f"{path}: bad magic, not an embedding cache")
-        if len(head) < len(CACHE_MAGIC) + _HEADER.size:
-            raise DataError(f"{path}: truncated header")
-        rows, dim = _HEADER.unpack_from(head, len(CACHE_MAGIC))
-        expected = rows * dim * 4
-        found = os.fstat(fh.fileno()).st_size - len(head)
-        if found != expected:
-            raise DataError(
-                f"{path}: truncated payload, header declares {rows}x{dim} "
-                f"({expected} bytes) but found {found}"
-            )
-        values = np.empty((rows, dim), dtype="<f4")
-        if fh.readinto(values) != expected:
-            raise DataError(f"{path}: file shrank while it was read")
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(len(CACHE_MAGIC) + _HEADER.size)
+            if head[: len(CACHE_MAGIC)] != CACHE_MAGIC:
+                raise DataError(f"{path}: bad magic, not an embedding cache")
+            if len(head) < len(CACHE_MAGIC) + _HEADER.size:
+                raise DataError(f"{path}: truncated header")
+            rows, dim = _HEADER.unpack_from(head, len(CACHE_MAGIC))
+            expected = rows * dim * 4
+            found = os.fstat(fh.fileno()).st_size - len(head)
+            if found != expected:
+                raise DataError(
+                    f"{path}: truncated payload, header declares {rows}x{dim} "
+                    f"({expected} bytes) but found {found}"
+                )
+            values = np.empty((rows, dim), dtype="<f4")
+            if fh.readinto(values) != expected:
+                raise DataError(f"{path}: file shrank while it was read")
+    except OSError as e:
+        raise _unreadable(path, e, "file", DataError) from None
     try:
         return EmbeddingMatrix(values=values)
     except DataError as e:
@@ -207,11 +236,7 @@ def read_embedding_cache(path: str | Path) -> EmbeddingMatrix:
 def load_cache_index(path: str | Path) -> dict[str, int]:
     path = Path(path)
     index: dict[str, int] = {}
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{path}:{lineno}: expected `item_id<TAB>row_index`")
-        item_id, row = parts
+    for lineno, (item_id, row) in _read_table(path, 2):
         if item_id in index:
             raise DataError(f"{path}:{lineno}: duplicate item id {item_id!r}")
         try:
@@ -222,5 +247,4 @@ def load_cache_index(path: str | Path) -> dict[str, int]:
 
 
 def write_cache_index(index: dict[str, int], path: str | Path) -> None:
-    lines = [f"{item_id}\t{row}\n" for item_id, row in index.items()]
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    write_text(path, "".join(f"{item_id}\t{row}\n" for item_id, row in index.items()))

@@ -24,7 +24,7 @@ from .backbone import (
 )
 from .ensemble import PromptScoreReport, mean_ensemble, score_and_select, selected_ensemble
 from .errors import DataError, NumericError
-from .io import write_atomic
+from .io import read_file, write_atomic, write_text
 from .objective import (
     LossBreakdown,
     class_probabilities,
@@ -43,8 +43,6 @@ class FewShotSupportSet:
 
     item_ids: list[str]          # class-major order, K per class
     labels: np.ndarray           # (C*K,) class indices
-    shots: int
-    seed: int
     embeddings: np.ndarray | None = None  # (C*K, D) unit rows, attached later
 
     def with_embeddings(self, embeddings: np.ndarray) -> "FewShotSupportSet":
@@ -54,10 +52,7 @@ class FewShotSupportSet:
                 f"support has {len(self.item_ids)} items but got "
                 f"{embeddings.shape[0]} embedding rows"
             )
-        return FewShotSupportSet(
-            item_ids=self.item_ids, labels=self.labels,
-            shots=self.shots, seed=self.seed, embeddings=embeddings,
-        )
+        return FewShotSupportSet(item_ids=self.item_ids, labels=self.labels, embeddings=embeddings)
 
 
 def sample_few_shot(
@@ -65,32 +60,30 @@ def sample_few_shot(
     catalog: ClassCatalog,
     shots: int,
     seed: int,
-    class_names: list[str] | None = None,
+    keep: slice = slice(None),
 ) -> FewShotSupportSet:
     """Draw K train items per class, deterministic under (seed, manifest order).
 
-    ``class_names`` restricts sampling to a subset (e.g. base classes);
-    labels still refer to positions in that list.
+    ``keep`` restricts sampling to a slice of the catalog (e.g. the base
+    classes); labels are positions within that slice.
     """
     if shots <= 0:
         raise DataError(f"shots must be positive, got {shots}")
-    names = class_names if class_names is not None else catalog.names
+    names = catalog.names
+    train = manifest.in_split("train")
     rng = np.random.default_rng(seed)
     item_ids: list[str] = []
-    labels: list[int] = []
-    for label, name in enumerate(names):
-        pool = [r.item_id for r in manifest.items(split="train", class_name=name)]
-        if len(pool) < shots:
+    classes = range(len(names))[keep]
+    for c in classes:
+        pool = np.flatnonzero(train & (manifest.labels == c))
+        if pool.size < shots:
             raise DataError(
-                f"class {name!r} has only {len(pool)} train items, need {shots}"
+                f"class {names[c]!r} has only {pool.size} train items, need {shots}"
             )
-        picked = rng.choice(len(pool), size=shots, replace=False)
-        item_ids.extend(pool[i] for i in picked)
-        labels.extend([label] * shots)
-    return FewShotSupportSet(
-        item_ids=item_ids, labels=np.asarray(labels, dtype=np.intp),
-        shots=shots, seed=seed,
-    )
+        picked = pool[rng.choice(pool.size, size=shots, replace=False)]
+        item_ids.extend(manifest.item_ids[i] for i in picked)
+    labels = np.repeat(np.arange(len(classes), dtype=np.intp), shots)
+    return FewShotSupportSet(item_ids=item_ids, labels=labels)
 
 
 @dataclass
@@ -229,7 +222,7 @@ def _accuracy_with_context(
 
 
 def write_training_log(logs: list[EpochLog], path: str | Path) -> None:
-    Path(path).write_text("".join(log.line() + "\n" for log in logs), encoding="utf-8")
+    write_text(path, "".join(log.line() + "\n" for log in logs))
 
 
 # ── checkpoints ──────────────────────────────────────────────────────
@@ -248,6 +241,9 @@ def _pack_rng_state(rng: np.random.Generator) -> bytes:
 def _unpack_rng_state(blob: bytes) -> np.random.Generator:
     if len(blob) != 40:
         raise DataError(f"rng state blob must be 40 bytes, got {len(blob)}")
+    has_uint32, uinteger = struct.unpack("<II", blob[32:40])
+    if has_uint32 not in (0, 1):
+        raise DataError(f"rng state flag must be 0 or 1, got {has_uint32}")
     rng = np.random.default_rng(0)
     rng.bit_generator.state = {
         "bit_generator": "PCG64",
@@ -255,8 +251,8 @@ def _unpack_rng_state(blob: bytes) -> np.random.Generator:
             "state": int.from_bytes(blob[:16], "little"),
             "inc": int.from_bytes(blob[16:32], "little"),
         },
-        "has_uint32": struct.unpack("<I", blob[32:36])[0],
-        "uinteger": struct.unpack("<I", blob[36:40])[0],
+        "has_uint32": has_uint32,
+        "uinteger": uinteger,
     }
     return rng
 
@@ -279,9 +275,7 @@ def save_checkpoint(state: TrainState, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> TrainState:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"checkpoint not found: {path}")
-    blob = path.read_bytes()
+    blob = read_file(path, "checkpoint")
     if blob[: len(CKPT_MAGIC)] != CKPT_MAGIC:
         raise DataError(f"{path}: bad checkpoint magic")
     offset = len(CKPT_MAGIC)

@@ -91,42 +91,21 @@ class ClassCatalog:
     def names(self) -> list[str]:
         return [c.name for c in self.classes]
 
-    def index_of(self, name: str) -> int:
-        for i, c in enumerate(self.classes):
-            if c.name == name:
-                return i
-        raise DataError(f"class {name!r} not in catalog")
-
-
-@dataclass(frozen=True)
-class ManifestRecord:
-    item_id: str
-    class_name: str
-    split: str
-
 
 @dataclass
 class DatasetManifest:
-    """Per-item records (id, class, split) in file order."""
+    """Items in file order as three columns: ids, catalog positions, split codes."""
 
-    records: list[ManifestRecord]
+    item_ids: list[str]
+    labels: np.ndarray  # (N,) intp positions in the catalog the manifest was read against
+    splits: np.ndarray  # (N,) int8 indices into SPLITS
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.item_ids)
 
-    def split_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for r in self.records:
-            counts[r.split] = counts.get(r.split, 0) + 1
-        return counts
-
-    def items(self, split: str | None = None, class_name: str | None = None) -> list[ManifestRecord]:
-        out = self.records
-        if split is not None:
-            out = [r for r in out if r.split == split]
-        if class_name is not None:
-            out = [r for r in out if r.class_name == class_name]
-        return out
+    def in_split(self, split: str) -> np.ndarray:
+        """Boolean mask of the items in ``split``."""
+        return self.splits == SPLITS.index(split)
 
 
 @dataclass

@@ -242,7 +242,7 @@ def test_criterion_4_coop_reduction_bit_identical():
     images, labels = task.sample(16, seed=502)
     support = FewShotSupportSet(
         item_ids=[f"i{i}" for i in range(labels.size)],
-        labels=labels, shots=16, seed=1, embeddings=images,
+        labels=labels, embeddings=images,
     )
     epochs = 15
 
@@ -329,7 +329,7 @@ def test_criterion_6_desk_scale_learning():
     held_images, held_labels = task.sample(100, seed=902)
     support = FewShotSupportSet(
         item_ids=[f"i{i}" for i in range(train_labels.size)],
-        labels=train_labels, shots=16, seed=1, embeddings=train_images,
+        labels=train_labels, embeddings=train_images,
     )
 
     def accuracy_of(state, images, labels):

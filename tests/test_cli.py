@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from bmcoop.backbone import SyntheticTextEncoder, encode_text_with_context
-from bmcoop.cli import parse_config, run
+from bmcoop.cli import _eval_split, _load_inputs, parse_config, run
 from bmcoop.ensemble import mean_ensemble
 from bmcoop.errors import ConfigError
 from bmcoop.evaluation import accuracy
@@ -263,6 +263,17 @@ class TestTrainEval:
             doc = json.loads((tmp_path / "out" / "eval_report.json").read_text())
             predicted = predict(class_probabilities(images, embeds, 0.01))
             assert doc["accuracies"] == [accuracy(predicted, labels)], classifier
+
+    def test_eval_split_labels_are_catalog_positions(self, toy_dataset):
+        tmp_path, config, config_path = toy_dataset
+        cfg = parse_config(config_path)
+        catalog, manifest, source = _load_inputs(cfg)
+        images, labels = _eval_split(cfg, manifest, source)
+        records = [line.split("\t") for line in (tmp_path / "manifest.tsv").read_text().splitlines()]
+        test = [(item, name) for item, name, split in records if split == "test"]
+        assert labels.dtype == np.intp
+        assert list(labels) == [catalog.names.index(name) for _, name in test]
+        assert np.array_equal(images, source.encode([item for item, _ in test]).values)
 
     def test_eval_report_is_deterministic(self, toy_dataset):
         tmp_path, config, config_path = toy_dataset
@@ -520,9 +531,65 @@ class TestExitCodes:
         assert run("frobnicate", str(config_path)) == 2
 
 
+def source_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def run_cli(*args):
+    """Run the CLI in a fresh interpreter; returns (exit code, stderr)."""
+    out = subprocess.run(
+        [sys.executable, "-m", "bmcoop.cli", *map(str, args)],
+        env=source_env(), capture_output=True, text=True,
+    )
+    return out.returncode, out.stderr
+
+
+class TestUnreadableInputs:
+    """Non-UTF-8 text and directories given as files end in one error line, not a traceback."""
+
+    def assert_one_error(self, stderr, category, *fragments):
+        lines = [line for line in stderr.splitlines() if line.startswith("bmcoop-error")]
+        assert len(lines) == 1, stderr
+        assert f"category={category}" in lines[0]
+        for fragment in fragments:
+            assert fragment in lines[0]
+        assert "Traceback" not in stderr
+
+    def test_non_utf8_catalog_is_3(self, tmp_path):
+        (tmp_path / "catalog.tsv").write_bytes(b"x\ta\ttrain\n\xff\xfe\ta\ttest\n")
+        (tmp_path / "bank.json").write_text("{}")
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({
+            "catalog": str(tmp_path / "catalog.tsv"), "bank": str(tmp_path / "bank.json"),
+        }))
+        code, err = run_cli("encode-bank", config_path)
+        assert code == 3
+        self.assert_one_error(err, "data", "catalog.tsv: not UTF-8 text")
+
+    def test_non_utf8_config_is_2(self, tmp_path):
+        config_path = tmp_path / "c.json"
+        config_path.write_bytes(b"\xff{}")
+        code, err = run_cli("train", config_path)
+        assert code == 2
+        self.assert_one_error(err, "config", "c.json: not UTF-8 text")
+
+    def test_directories_are_3(self, toy_dataset):
+        tmp_path, config, config_path = toy_dataset
+        for command, key in (
+            ("train", "catalog"), ("encode-images", "features_cache"), ("eval", "checkpoint"),
+        ):
+            changes = {key: str(tmp_path)}
+            if command == "encode-images":
+                changes["features_index"] = str(tmp_path / "images.idx")
+            rewrite(config_path, config, **changes)
+            code, err = run_cli(command, config_path)
+            assert code == 3, (command, key)
+            self.assert_one_error(err, "data", f"cannot read {tmp_path}")
+
+
 def test_cli_import_leaves_http_stack_unloaded():
     code = "import sys, bmcoop.cli; print(sorted({'requests', 'urllib.request', 'http.client'} & set(sys.modules)))"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

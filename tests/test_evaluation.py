@@ -1,6 +1,7 @@
 """Accuracy, base/novel splitting, harmonic means, seed aggregation."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -133,6 +134,20 @@ class TestEvalReport:
         assert doc["std"] == pytest.approx(2.0)
         assert doc["hm"] == pytest.approx(harmonic_mean(80.0, 60.0))
         assert "split_rule" in doc
+
+    def test_failed_write_keeps_previous_report(self, tmp_path, monkeypatch):
+        path = tmp_path / "report.json"
+        EvalReport(dataset="toy", seeds=[1], accuracies=[50.0]).write_json(path)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(DataError, match="rename refused"):
+            EvalReport(dataset="toy", seeds=[2], accuracies=[75.0]).write_json(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
     def test_hm_absent_without_split(self):
         report = EvalReport(dataset="toy", seeds=[1], accuracies=[50.0])

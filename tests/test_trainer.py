@@ -9,6 +9,7 @@ import pytest
 
 from bmcoop.backbone import init_context
 from bmcoop.errors import DataError, NumericError
+from bmcoop.io import load_manifest
 from bmcoop.trainer import (
     FewShotSupportSet,
     initial_state,
@@ -20,19 +21,28 @@ from bmcoop.trainer import (
     write_training_log,
 )
 from conftest import per_class_ce_grad
-from bmcoop.types import ClassCatalog, ClassEntry, DatasetManifest, ManifestRecord
+from bmcoop.types import SPLITS, ClassCatalog, ClassEntry, DatasetManifest
 
 
 def make_manifest(per_class_train, classes=("benign", "malignant"), extra_splits=True):
     records = []
-    for name in classes:
+    for c, name in enumerate(classes):
         for i in range(per_class_train):
-            records.append(ManifestRecord(f"{name}-{i}", name, "train"))
+            records.append((f"{name}-{i}", c, "train"))
         if extra_splits:
-            records.append(ManifestRecord(f"{name}-val", name, "val"))
-            records.append(ManifestRecord(f"{name}-test", name, "test"))
+            records.append((f"{name}-val", c, "val"))
+            records.append((f"{name}-test", c, "test"))
     catalog = ClassCatalog(classes=[ClassEntry(n, "ultrasound") for n in classes])
-    return DatasetManifest(records=records), catalog
+    return columns(records), catalog
+
+
+def columns(records):
+    """A manifest from (item id, catalog position, split) rows."""
+    return DatasetManifest(
+        item_ids=[item_id for item_id, _, _ in records],
+        labels=np.array([c for _, c, _ in records], dtype=np.intp),
+        splits=np.array([SPLITS.index(split) for _, _, split in records], dtype=np.int8),
+    )
 
 
 class TestSampleFewShot:
@@ -46,13 +56,11 @@ class TestSampleFewShot:
     def test_insufficient_items_names_class(self):
         manifest, catalog = make_manifest(6)
         # leave malignant with only 3 train items
-        manifest = DatasetManifest(
-            records=[
-                r for r in manifest.records
-                if not (r.class_name == "malignant" and r.split == "train"
-                        and int(r.item_id.split("-")[1]) >= 3)
-            ]
-        )
+        manifest = columns([
+            (item_id, c, SPLITS[s])
+            for item_id, c, s in zip(manifest.item_ids, manifest.labels, manifest.splits)
+            if not (c == 1 and SPLITS[s] == "train" and int(item_id.split("-")[1]) >= 3)
+        ])
         with pytest.raises(DataError, match="malignant"):
             sample_few_shot(manifest, catalog, shots=4, seed=0)
 
@@ -84,14 +92,32 @@ class TestSampleFewShot:
         # loose bound: mean 2.56, std ~1.4; allow a wide corridor
         assert all(0 <= o <= 9 for o in overlaps)
 
+    def test_interleaved_manifest_picks_pinned(self, tmp_path):
+        """Item ids recorded at the record-list manifest, before it became columns."""
+        names = ("benign", "malignant", "normal")
+        lines = [
+            f"img{i:02d}\t{names[(i * 7) % 3]}\t{('train', 'val', 'train', 'test')[i % 4]}\n"
+            for i in range(60)
+        ]
+        path = tmp_path / "m.tsv"
+        path.write_text("".join(lines))
+        catalog = ClassCatalog(classes=[ClassEntry(n, "ultrasound") for n in names])
+        manifest = load_manifest(path, catalog)
+        full = sample_few_shot(manifest, catalog, shots=3, seed=5)
+        base = sample_few_shot(manifest, catalog, shots=3, seed=5, keep=slice(2))
+        assert full.item_ids == [
+            "img42", "img30", "img00", "img34", "img28", "img16", "img32", "img14", "img20",
+        ]
+        assert base.item_ids == full.item_ids[:6]
+        assert list(full.labels) == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+        assert list(base.labels) == [0, 0, 0, 1, 1, 1]
+
 
 def make_support(task, per_class=16, seed=500):
     images, labels = task.sample(per_class, seed)
     return FewShotSupportSet(
         item_ids=[f"i{i}" for i in range(labels.size)],
         labels=labels,
-        shots=per_class,
-        seed=1,
         embeddings=images,
     )
 
@@ -167,10 +193,7 @@ class TestTrainRun:
 
     def test_missing_embeddings_rejected(self, desk_task):
         support = make_support(desk_task)
-        bare = FewShotSupportSet(
-            item_ids=support.item_ids, labels=support.labels,
-            shots=support.shots, seed=support.seed,
-        )
+        bare = FewShotSupportSet(item_ids=support.item_ids, labels=support.labels)
         with pytest.raises(DataError, match="embeddings"):
             train_run(bare, desk_task.names, desk_task.handle, desk_task.config())
 
@@ -277,3 +300,14 @@ class TestCheckpoints:
             path.write_bytes(blob[:cut])
             with pytest.raises(DataError):
                 load_checkpoint(path)
+
+    def test_bad_rng_flag_rejected(self, desk_task, tmp_path):
+        cfg = desk_task.config(epochs=1)
+        state, _ = train_run(make_support(desk_task), desk_task.names, desk_task.handle, cfg)
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(state, path)
+        blob = bytearray(path.read_bytes())
+        blob[-8:-4] = struct.pack("<I", 2**31)  # the has-uint32 flag of the rng state
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="rng state flag must be 0 or 1, got 2147483648"):
+            load_checkpoint(path)

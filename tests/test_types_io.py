@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmcoop.errors import ConfigError, DataError
+from bmcoop.cli import parse_config
+from bmcoop.errors import BmcoopError, ConfigError, DataError
 from bmcoop.io import (
     CACHE_MAGIC,
     load_cache_index,
@@ -21,10 +22,11 @@ from bmcoop.io import (
     write_cache_index,
     write_catalog,
     write_embedding_cache,
-    write_manifest,
     write_prompt_bank,
 )
+from bmcoop.trainer import CKPT_MAGIC, CKPT_VERSION, _pack_rng_state, load_checkpoint
 from bmcoop.types import (
+    SPLITS,
     ClassCatalog,
     ClassEntry,
     EmbeddingMatrix,
@@ -52,7 +54,6 @@ class TestCatalog:
         write_catalog(catalog, path)
         loaded = load_catalog(path)
         assert loaded.names == ["zebra", "alpha", "middle"]
-        assert loaded.index_of("middle") == 2
 
 
 class TestManifest:
@@ -61,7 +62,8 @@ class TestManifest:
         path.write_text("a\tbenign\ttrain\nb\tmalignant\ttrain\nc\tbenign\ttrain\n")
         manifest = load_manifest(path, make_catalog("benign", "malignant"))
         assert len(manifest) == 3
-        assert manifest.split_counts() == {"train": 3}
+        assert list(manifest.splits) == [SPLITS.index("train")] * 3
+        assert list(manifest.labels) == [0, 1, 0]
 
     def test_unknown_class_named_in_error(self, tmp_path):
         path = tmp_path / "m.tsv"
@@ -72,6 +74,13 @@ class TestManifest:
             path.write_text(text)
             with pytest.raises(DataError, match=match):
                 load_manifest(path, make_catalog("benign", "malignant"))
+
+    def test_errors_name_the_physical_line(self, tmp_path):
+        # blank lines are skipped but still counted
+        path = tmp_path / "m.tsv"
+        path.write_text("a\tbenign\ttrain\n\nb\tbenign\n")
+        with pytest.raises(DataError, match=r"m.tsv:3: expected 3 tab-separated fields, got 2"):
+            load_manifest(path, make_catalog("benign"))
 
     def test_malformed_split_rejected(self, tmp_path):
         path = tmp_path / "m.tsv"
@@ -92,23 +101,14 @@ class TestManifest:
         path = tmp_path / "busi.tsv"
         path.write_text("".join(lines))
         manifest = load_manifest(path, catalog)
-        assert manifest.split_counts() == counts
-
-    def test_load_save_load_identity(self, tmp_path):
-        catalog = make_catalog("benign", "malignant")
-        path = tmp_path / "m.tsv"
-        path.write_text("x1\tbenign\ttrain\nx2\tmalignant\tval\nx3\tbenign\ttest\n")
-        first = load_manifest(path, catalog)
-        out = tmp_path / "m2.tsv"
-        write_manifest(first, out)
-        second = load_manifest(out, catalog)
-        assert first.records == second.records
+        for split, n in counts.items():
+            assert int(np.sum(manifest.in_split(split))) == n
 
     def test_record_order_preserved(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text("z\tbenign\ttrain\na\tbenign\ttrain\n")
         manifest = load_manifest(path, make_catalog("benign"))
-        assert [r.item_id for r in manifest.records] == ["z", "a"]
+        assert manifest.item_ids == ["z", "a"]
 
 
 class TestEmbeddingCache:
@@ -348,3 +348,71 @@ class TestRunConfig:
     def test_with_overrides_unknown_key(self):
         with pytest.raises(ConfigError, match="lamda1"):
             RunConfig().with_overrides(lamda1=1.0)
+
+
+def _checkpoint_bytes() -> bytes:
+    rng_blob = _pack_rng_state(np.random.default_rng(3))
+    return (
+        CKPT_MAGIC + struct.pack("<III", CKPT_VERSION, 1, 2) + np.ones(2, "<f4").tobytes()
+        + struct.pack("<II", 5, len(rng_blob)) + rng_blob
+    )
+
+
+CATALOG = make_catalog("benign", "malignant")
+BANK = {"query_template": "q", "classes": [
+    {"name": "benign", "modality": "ultrasound", "prompts": ["a b", "c d"]},
+    {"name": "malignant", "prompts": ["e f", "g h"]},
+]}
+# (loader, a well-formed input) pairs; the property mutates the input or replaces it
+LOADERS = {
+    "catalog": (load_catalog, b"benign\tultrasound\nmalignant\tultrasound\n"),
+    "manifest": (lambda p: load_manifest(p, CATALOG), b"a\tbenign\ttrain\nb\tmalignant\ttest\n"),
+    "cache index": (load_cache_index, b"a\t0\nb\t1\n"),
+    "prompt bank": (load_prompt_bank, json.dumps(BANK).encode()),
+    "config": (parse_config, b'{"epochs": 3, "lambda1": 0.5, "eval_split": "val"}'),
+    "embedding cache": (
+        read_embedding_cache,
+        CACHE_MAGIC + struct.pack("<II", 2, 3) + np.ones((2, 3), "<f4").tobytes(),
+    ),
+    "checkpoint": (load_checkpoint, _checkpoint_bytes()),
+}
+
+
+@st.composite
+def loader_inputs(draw):
+    kind = draw(st.sampled_from(sorted(LOADERS)))
+    valid = LOADERS[kind][1]
+    start = draw(st.integers(0, len(valid)))
+    mutated = valid[:start] + draw(st.binary(max_size=8)) + valid[start + draw(st.integers(0, 8)):]
+    return kind, draw(st.one_of(st.just(valid), st.just(mutated), st.binary(max_size=64)))
+
+
+class TestLoadersOnArbitraryBytes:
+    def test_well_formed_inputs_load(self, tmp_path):
+        for load, valid in LOADERS.values():
+            path = tmp_path / "input"
+            path.write_bytes(valid)
+            load(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=loader_inputs())
+    def test_only_package_errors_escape(self, case, tmp_path_factory):
+        kind, blob = case
+        path = tmp_path_factory.mktemp("fuzz") / "input"
+        path.write_bytes(blob)
+        try:
+            LOADERS[kind][0](path)
+        except BmcoopError:
+            pass
+
+    def test_directory_and_non_utf8_are_named(self, tmp_path):
+        for kind, (load, _) in LOADERS.items():
+            with pytest.raises(BmcoopError, match="cannot read") as err:
+                load(tmp_path)
+            assert str(tmp_path) in str(err.value), kind
+        path = tmp_path / "latin1"
+        path.write_bytes(b"x\ta\ttrain\n\xff\xfe\ta\ttest\n")
+        for kind in ("catalog", "manifest", "cache index", "prompt bank", "config"):
+            with pytest.raises(BmcoopError, match="not UTF-8 text") as err:
+                LOADERS[kind][0](path)
+            assert str(path) in str(err.value), kind
