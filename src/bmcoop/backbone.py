@@ -13,10 +13,20 @@ token vectors and L_c = M + (name tokens) the sequence length,
 
     raw_c = (P·Σctx + P·n_c) / L_c
 
-``P·n_c`` is fixed for the run and memoised on the encoder, so encoding
-all C classes costs one mat-vec ``P·Σctx`` plus a (C, D) normalization.
+``P·n_c`` is fixed for the run; the encoder memoises the stacked (C, D)
+rows and the (C,) name token counts per class list, so encoding all C
+classes costs one mat-vec ``P·Σctx`` plus a (C, D) normalization.
 Every context row receives the same gradient, so the M rows move in
 lockstep and only Σctx matters to the embeddings.
+
+The prompt bank has no context, and every prompt is frozen, so the whole
+bank is encoded from one table. With ``T`` the (V, W) token vectors of the
+bank's V unique tokens, ``counts`` the prompt-by-token count matrix and
+``L_i`` the token count of prompt ``i``,
+
+    raw_i = (counts_i · (T Pᵀ)) / L_i,    u_i = raw_i / ‖raw_i‖
+
+so ``T Pᵀ`` is projected once and each class costs one (N, V)·(V, D) GEMM.
 
 Only the context rows ever receive gradients; token vectors and the
 projection are frozen at construction. The synthetic vision encoder is a
@@ -125,6 +135,7 @@ class SyntheticTextEncoder:
         self.projection.setflags(write=False)
         self._token_cache: dict[str, np.ndarray] = {}
         self._name_cache: dict[str, tuple[np.ndarray, int]] = {}
+        self._block_cache: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
 
     def tokenize(self, text: str) -> list[str]:
         return text.split()
@@ -152,6 +163,19 @@ class SyntheticTextEncoder:
             projected = self.projection @ rows.sum(axis=0)
             projected.setflags(write=False)
             cached = self._name_cache[name] = (projected, rows.shape[0])
+        return cached
+
+    def name_block(self, class_names: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(P·n_c rows (C, D), token counts (C,))`` for a class list, memoised."""
+        key = tuple(class_names)
+        cached = self._block_cache.get(key)
+        if cached is None:
+            names = [self.name_projection(name) for name in class_names]
+            rows = np.stack([row for row, _ in names])
+            counts = np.array([n_tokens for _, n_tokens in names], dtype=np.float64)
+            rows.setflags(write=False)
+            counts.setflags(write=False)
+            cached = self._block_cache[key] = (rows, counts)
         return cached
 
     def parameter_digest(self) -> str:
@@ -196,10 +220,10 @@ def encode_text_with_context(
         )
     if not class_names:
         raise DataError("no class names to encode")
-    names = [handle.name_projection(name) for name in class_names]
-    seq_len = np.array([ctx.length + n_tokens for _, n_tokens in names], dtype=np.float64)
+    name_rows, name_tokens = handle.name_block(class_names)
+    seq_len = ctx.length + name_tokens
     ctx_raw = handle.projection @ ctx.vectors.sum(axis=0)
-    raw = (ctx_raw + np.stack([row for row, _ in names])) / seq_len[:, None]
+    raw = (ctx_raw + name_rows) / seq_len[:, None]
     norms = np.linalg.norm(raw, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
@@ -215,29 +239,46 @@ def encode_text_with_context(
     return unit, tape
 
 
-def encode_text_plain(handle: SyntheticTextEncoder, text: str) -> np.ndarray:
-    """Encode free text without any learnable context (frozen, no gradient)."""
-    rows = handle.token_vectors(text)
-    if rows.shape[0] == 0:
-        raise DataError("cannot encode empty text")
-    pooled = rows.mean(axis=0)
-    raw = handle.projection @ pooled
-    norm = float(np.linalg.norm(raw))
-    if norm == 0.0:
-        raise DataError(f"degenerate zero embedding for text {text!r}")
-    return raw / norm
-
-
 def encode_text_bank(
     handle: SyntheticTextEncoder, bank: PromptBank
 ) -> dict[str, EmbeddingMatrix]:
-    """Encode every prompt of every class; frozen unit-norm rows, keyed by class."""
-    out: dict[str, EmbeddingMatrix] = {}
+    """Encode every prompt of every class; frozen unit-norm rows, keyed by class.
+
+    One projected token table for the bank, one count-block GEMM per class
+    (module docstring).
+    """
+    columns: dict[str, int] = {}
+    tokenized: dict[str, list[list[int]]] = {}
     for name, prompts in bank.prompts.items():
         if not prompts:
             raise DataError(f"class {name!r} has an empty prompt list")
-        rows = np.stack([encode_text_plain(handle, p) for p in prompts])
-        out[name] = EmbeddingMatrix(values=rows, normalized=True)
+        rows = []
+        for text in prompts:
+            tokens = handle.tokenize(text)
+            if not tokens:
+                raise DataError(f"cannot encode empty text under class {name!r}")
+            rows.append([columns.setdefault(t, len(columns)) for t in tokens])
+        tokenized[name] = rows
+    out: dict[str, EmbeddingMatrix] = {}
+    if not columns:
+        return out
+    vocab = len(columns)
+    # T Pᵀ, (V, D); the (V, W) table T is dropped once it is projected
+    projected = np.stack([handle.token_vector(t) for t in columns]) @ handle.projection.T
+    for name, rows in tokenized.items():
+        lengths = np.array([len(r) for r in rows])
+        flat = np.repeat(np.arange(len(rows)) * vocab, lengths) + np.concatenate(rows)
+        # weights make bincount count in float64, ready for the GEMM
+        counts = np.bincount(flat, weights=np.ones(flat.size), minlength=len(rows) * vocab)
+        raw = counts.reshape(len(rows), vocab) @ projected
+        raw /= lengths[:, None]
+        norms = np.linalg.norm(raw, axis=1)
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            text = bank.prompts[name][zero[0]]
+            raise DataError(f"degenerate zero embedding for text {text!r}")
+        raw /= norms[:, None]
+        out[name] = EmbeddingMatrix(values=raw, normalized=True)
     return out
 
 

@@ -65,9 +65,11 @@ def read_file(path: Path, what: str = "file", error: type[BmcoopError] = DataErr
 
 
 def read_text(path: Path, what: str = "file", error: type[BmcoopError] = DataError) -> str:
-    """The UTF-8 text of ``path``; any other bytes raise ``error`` naming it."""
+    """The UTF-8 text of ``path``, less one leading byte-order mark; any
+    other bytes raise ``error`` naming it."""
     try:
-        return read_file(path, what, error).decode("utf-8")
+        # not "utf-8-sig", whose error offsets would skip the mark's 3 bytes
+        return read_file(path, what, error).decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise error(f"{path}: not UTF-8 text (invalid byte at offset {e.start})") from None
 

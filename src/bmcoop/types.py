@@ -40,7 +40,8 @@ class EmbeddingMatrix:
             )
         check_finite(self.values, "embedding matrix")
         if self.normalized and self.values.shape[0] > 0:
-            norms = np.linalg.norm(np.asarray(self.values, dtype=np.float64), axis=1)
+            v = np.asarray(self.values, dtype=np.float64)
+            norms = np.sqrt(np.einsum("ij,ij->i", v, v))
             bad = np.abs(norms - 1.0) > NORM_TOL
             if np.any(bad):
                 raise DataError(

@@ -97,6 +97,12 @@ def per_class_encode(handle: SyntheticTextEncoder, vectors: np.ndarray, name: st
     return raw / norm, norm, seq_len
 
 
+def per_prompt_encode(handle: SyntheticTextEncoder, text: str) -> np.ndarray:
+    """One prompt by the unbatched formula: normalize(P @ mean(token rows))."""
+    raw = handle.projection @ handle.token_vectors(text).mean(axis=0)
+    return raw / np.linalg.norm(raw)
+
+
 def per_class_vjp(handle, unit, norm, seq_len, g, ctx_rows):
     """dLoss/dContext of one class from its embedding gradient ``g``."""
     g_raw = (g - np.dot(g, unit) * unit) / norm

@@ -13,7 +13,7 @@ from bmcoop.backbone import (
 )
 from bmcoop.errors import DataError
 from bmcoop.types import EmbeddingMatrix, PromptBank
-from conftest import per_class_encode, per_class_vjp
+from conftest import per_class_encode, per_class_vjp, per_prompt_encode
 
 
 class TestInitContext:
@@ -158,6 +158,18 @@ class TestBatchedAgainstPerClass:
         with pytest.raises(ValueError):
             row[0] = 1.0
 
+    def test_name_block_is_memoised_read_only(self, small_handle):
+        names = ["glioma tumor", "normal brain", "cyst"]
+        rows, counts = small_handle.name_block(names)
+        again_rows, again_counts = small_handle.name_block(list(names))
+        assert again_rows is rows and again_counts is counts
+        assert np.array_equal(rows, np.stack([small_handle.name_projection(n)[0] for n in names]))
+        assert list(counts) == [2, 2, 1]
+        for array in (rows, counts):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
 
 class TestEncodeTextBank:
     def make_bank(self, n):
@@ -192,6 +204,56 @@ class TestEncodeTextBank:
         b = encode_text_bank(small_handle, bank)
         for name in a:
             assert np.array_equal(a[name].values, b[name].values)
+
+    def random_bank(self, seed):
+        """Classes with disjoint vocabularies, one-token prompts, repeated
+        tokens inside a prompt and a one-prompt class."""
+        rng = np.random.default_rng(seed)
+        prompts = {}
+        for c in range(int(rng.integers(2, 5))):
+            vocab = [f"w{c}x{j}" for j in range(int(rng.integers(1, 6)))]
+            n = 1 if c == 0 else int(rng.integers(2, 7))
+            rows = [" ".join(rng.choice(vocab, size=int(rng.integers(1, 6)))) for _ in range(n)]
+            rows[-1] = f"{vocab[0]} {vocab[0]} {rows[-1]}"
+            if n > 1:
+                rows[0] = vocab[-1]
+            prompts[f"class{c}"] = rows
+        return PromptBank(prompts=prompts, modalities={name: "" for name in prompts})
+
+    def test_matches_per_prompt_oracle(self, small_handle):
+        for seed in range(20):
+            bank = self.random_bank(seed)
+            out = encode_text_bank(small_handle, bank)
+            assert list(out) == list(bank.prompts)
+            for name, prompts in bank.prompts.items():
+                oracle = np.stack([per_prompt_encode(small_handle, p) for p in prompts])
+                assert out[name].values.shape == oracle.shape
+                assert np.max(np.abs(out[name].values - oracle)) < 1e-12
+
+    def test_float32_rows_equal_oracle(self, small_handle):
+        bank = self.make_bank(50)
+        out = encode_text_bank(small_handle, bank)
+        for name, prompts in bank.prompts.items():
+            oracle = np.stack([per_prompt_encode(small_handle, p) for p in prompts])
+            assert np.array_equal(out[name].values.astype(np.float32), oracle.astype(np.float32))
+
+    def test_empty_prompts_name_class(self, small_handle):
+        for prompts, match in (
+            ([], "'cyst' has an empty prompt list"),
+            (["a", " "], "empty text under class 'cyst'"),
+        ):
+            bank = PromptBank(prompts={"benign": ["a b"], "cyst": prompts}, modalities={})
+            with pytest.raises(DataError, match=match):
+                encode_text_bank(small_handle, bank)
+
+    def test_zero_embedding_names_prompt(self):
+        class VoidEncoder(SyntheticTextEncoder):
+            def token_vector(self, token):
+                return np.zeros(self.token_width) if token == "void" else super().token_vector(token)
+
+        bank = PromptBank(prompts={"benign": ["a b", "void void"]}, modalities={})
+        with pytest.raises(DataError, match="zero embedding for text 'void void'"):
+            encode_text_bank(VoidEncoder(seed=5, embedding_dim=12, token_width=20), bank)
 
 
 class TestVisionEncoder:

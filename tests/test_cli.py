@@ -31,6 +31,7 @@ from conftest import (
     DESK_WIDTH,
     build_desk_task,
     build_two_shell_outlier,
+    per_prompt_encode,
 )
 
 
@@ -385,13 +386,11 @@ class TestEncodeCommands:
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps(config))
         assert run("encode-bank", str(config_path)) == 0
-        from bmcoop.backbone import encode_text_plain
-
         out = read_embedding_cache(tmp_path / "bank.emb")
         assert out.values.shape == (8, 16)
         handle = SyntheticTextEncoder(seed=0, embedding_dim=16, token_width=24)
         # row 0 is the first benign prompt (catalog order, not bank order)
-        expected = encode_text_plain(handle, "benign case 0").astype(np.float32)
+        expected = per_prompt_encode(handle, "benign case 0").astype(np.float32)
         assert np.array_equal(out.values[0], expected)
 
 

@@ -416,3 +416,23 @@ class TestLoadersOnArbitraryBytes:
             with pytest.raises(BmcoopError, match="not UTF-8 text") as err:
                 LOADERS[kind][0](path)
             assert str(path) in str(err.value), kind
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        bom = b"\xef\xbb\xbf"
+        catalog_path, manifest_path = tmp_path / "catalog.tsv", tmp_path / "m.tsv"
+        catalog_path.write_bytes(bom + LOADERS["catalog"][1])
+        manifest_path.write_bytes(bom + LOADERS["manifest"][1])
+        catalog = load_catalog(catalog_path)
+        assert catalog.names == ["benign", "malignant"]
+        manifest = load_manifest(manifest_path, catalog)
+        assert manifest.item_ids == ["a", "b"]
+        assert list(manifest.labels) == [0, 1]
+        config_path = tmp_path / "c.json"
+        config_path.write_bytes(bom + LOADERS["config"][1])
+        assert parse_config(config_path).run.epochs == 3
+
+    def test_byte_order_mark_keeps_the_error_offset(self, tmp_path):
+        path = tmp_path / "catalog.tsv"
+        path.write_bytes(b"\xef\xbb\xbfab\xff\tx\n")
+        with pytest.raises(DataError, match="invalid byte at offset 5"):
+            load_catalog(path)
