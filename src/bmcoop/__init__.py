@@ -46,7 +46,9 @@ from .objective import (
     kdsp_loss,
     loss_gradient,
     predict,
+    prepare_support,
     sccm_loss,
+    student_scores,
     total_loss,
 )
 from .promptgen import LlmEndpointConfig, build_query, fetch_prompts, validate_bank

@@ -10,6 +10,23 @@ Three terms, combined as  total = ce + lambda1 * consistency + lambda2 * distill
                (images vs the outlier-pruned ensemble, held constant) to
                the student distribution (images vs learned prompts)
 
+A training run derives each shared quantity once:
+
+  once per run   ``prepare_support`` checks tau, the labels and the
+                 widths, and normalizes the support rows and the teacher
+                 ensemble (neither changes during a run); a step indexes
+                 its batch rows out of the support
+  once per step  one class-text encode, one normalization of the class
+                 embeddings, one (B, C) cosine block and one student
+                 log-softmax, held in a ``StudentScores`` that every loss
+                 and gradient term reads, and one (B, C) teacher
+                 log-softmax
+
+The teacher log-softmax stays per step on purpose: a (B, D) x (D, C)
+product is computed by BLAS kernels chosen by the row count, so scoring
+the whole support at once rounds some teacher logits differently from
+the batch product and would change the bits of every artifact.
+
 Gradients with respect to the context are exact and hand-written: each
 loss is differentiated to dLoss/dTextEmbedding and chained through the
 encoder's one tape over all classes. The teacher ensemble and all bank embeddings
@@ -56,16 +73,24 @@ def _unit_rows(matrix: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     return matrix / norms[:, None], norms
 
 
-def cosine_logits(images: np.ndarray, text: np.ndarray, tau: float) -> np.ndarray:
-    """(B, C) matrix of cos(text_j, image_i) / tau with explicit normalization."""
+def _check_tau(tau: float) -> None:
     if tau <= 0:
         raise DataError(f"tau must be > 0, got {tau}")
+
+
+def _check_width(images: np.ndarray, width: int) -> None:
+    if images.shape[1] != width:
+        raise DataError(
+            f"image width {images.shape[1]} does not match class-embedding width {width}"
+        )
+
+
+def cosine_logits(images: np.ndarray, text: np.ndarray, tau: float) -> np.ndarray:
+    """(B, C) matrix of cos(text_j, image_i) / tau with explicit normalization."""
+    _check_tau(tau)
     v_unit, _ = _unit_rows(images, "images")
     t_unit, _ = _unit_rows(text, "class embeddings")
-    if v_unit.shape[1] != t_unit.shape[1]:
-        raise DataError(
-            f"image width {v_unit.shape[1]} does not match class-embedding width {t_unit.shape[1]}"
-        )
+    _check_width(v_unit, t_unit.shape[1])
     return (v_unit @ t_unit.T) / tau
 
 
@@ -100,10 +125,62 @@ def _check_labels(labels: np.ndarray, batch: int, n_classes: int) -> np.ndarray:
     return labels.astype(np.intp)
 
 
-def _ce_from_logits(logits: np.ndarray, labels: np.ndarray) -> float:
+def prepare_support(
+    images: np.ndarray,
+    labels: np.ndarray,
+    n_classes: int,
+    width: int,
+    tau: float,
+    teacher_ensemble: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The run-constant side of the objective, with every input check.
+
+    Returns the unit support rows, the labels as checked class positions
+    and the unit teacher rows (None without a teacher). A step passes its
+    batch rows of the first two, and the teacher rows, to ``loss_gradient``.
+    """
+    _check_tau(tau)
+    v_unit, _ = _unit_rows(images, "images")
+    _check_width(v_unit, width)
+    labels = _check_labels(labels, v_unit.shape[0], n_classes)
+    teacher_unit = None
+    if teacher_ensemble is not None:
+        teacher_unit, _ = _unit_rows(teacher_ensemble, "teacher ensemble")
+        if teacher_unit.shape != (n_classes, width):
+            raise DataError(
+                f"teacher ensemble has shape {teacher_unit.shape}, "
+                f"expected ({n_classes}, {width})"
+            )
+    return v_unit, labels, teacher_unit
+
+
+def teacher_log_probs(v_unit: np.ndarray, teacher_unit: np.ndarray, tau: float) -> np.ndarray:
+    """(B, C) teacher log-softmax of unit image rows against unit teacher rows."""
+    return _log_softmax((v_unit @ teacher_unit.T) / tau)
+
+
+@dataclass(frozen=True)
+class StudentScores:
+    """One step's student side, computed once and read by every term."""
+
+    text: np.ndarray       # (C, D) class embeddings as encoded
+    v_unit: np.ndarray     # (B, D) unit image rows
+    t_unit: np.ndarray     # (C, D) unit class embeddings
+    t_norms: np.ndarray    # (C,) norms of the ``text`` rows
+    cos: np.ndarray        # (B, C) cosine similarities
+    log_probs: np.ndarray  # (B, C) student log-softmax of cos / tau
+    tau: float
+
+
+def student_scores(v_unit: np.ndarray, text: np.ndarray, tau: float) -> StudentScores:
+    """Score unit image rows against the class embeddings ``text``."""
+    t_unit, t_norms = _unit_rows(text, "class embeddings")
+    cos = v_unit @ t_unit.T
+    return StudentScores(text, v_unit, t_unit, t_norms, cos, _log_softmax(cos / tau), tau)
+
+
+def _ce(log_probs: np.ndarray, labels: np.ndarray) -> float:
     # log-space path: never exponentiates before taking the log
-    log_probs = _log_softmax(logits)
-    labels = _check_labels(labels, logits.shape[0], logits.shape[1])
     return float(-np.mean(log_probs[np.arange(len(labels)), labels]))
 
 
@@ -119,10 +196,11 @@ def sccm_loss(text: np.ndarray, ensemble_mean: np.ndarray) -> float:
     return float(np.sum(diff * diff))
 
 
-def _kl_rows(log_teacher: np.ndarray, log_student: np.ndarray) -> np.ndarray:
+def _kdsp(log_teacher: np.ndarray, log_student: np.ndarray) -> float:
     teacher = np.exp(log_teacher)
     terms = np.where(teacher > 0.0, teacher * (log_teacher - log_student), 0.0)
-    return terms.sum(axis=1)
+    # clamp away sub-ulp negatives when the distributions coincide
+    return max(0.0, float(np.mean(terms.sum(axis=1))))
 
 
 def kdsp_loss(
@@ -132,35 +210,35 @@ def kdsp_loss(
     tau: float,
 ) -> float:
     """Batch-mean KL(teacher || student); the teacher is a constant."""
-    log_teacher = _log_softmax(cosine_logits(images, teacher_ensemble, tau))
-    log_student = _log_softmax(cosine_logits(images, text, tau))
-    # clamp away sub-ulp negatives when the distributions coincide
-    return max(0.0, float(np.mean(_kl_rows(log_teacher, log_student))))
+    return _kdsp(
+        _log_softmax(cosine_logits(images, teacher_ensemble, tau)),
+        _log_softmax(cosine_logits(images, text, tau)),
+    )
 
 
 def total_loss(
-    images: np.ndarray,
+    scores: StudentScores,
     labels: np.ndarray,
-    text: np.ndarray,
     ensemble_mean: np.ndarray | None,
-    teacher_ensemble: np.ndarray | None,
-    tau: float,
+    log_teacher: np.ndarray | None,
     lambda1: float,
     lambda2: float,
 ) -> LossBreakdown:
-    """Composite objective. Ensembles may be omitted only when their weight is zero."""
-    logits = cosine_logits(images, text, tau)
-    ce = _ce_from_logits(logits, labels)
+    """Composite objective of one step; ``labels`` are checked class positions.
+
+    The ensemble and the teacher rows may be omitted only when their weight is zero.
+    """
+    ce = _ce(scores.log_probs, labels)
     sccm = 0.0
     if lambda1 != 0.0 or ensemble_mean is not None:
         if ensemble_mean is None:
             raise DataError("lambda1 > 0 requires the mean prompt ensemble")
-        sccm = sccm_loss(text, ensemble_mean)
+        sccm = sccm_loss(scores.text, ensemble_mean)
     kdsp = 0.0
-    if lambda2 != 0.0 or teacher_ensemble is not None:
-        if teacher_ensemble is None:
+    if lambda2 != 0.0 or log_teacher is not None:
+        if log_teacher is None:
             raise DataError("lambda2 > 0 requires the teacher ensemble")
-        kdsp = kdsp_loss(images, text, teacher_ensemble, tau)
+        kdsp = _kdsp(log_teacher, scores.log_probs)
     return LossBreakdown.compose(ce, sccm, kdsp, lambda1, lambda2)
 
 
@@ -174,79 +252,57 @@ def total_loss(
 # where G = dL/dz. CE and KL share this path with their classic softmax
 # gradients G = (P - onehot)/B and G = (P_student - P_teacher)/B.
 
-def _chain_logits_to_text(
-    grad_logits: np.ndarray,
-    v_unit: np.ndarray,
-    text: np.ndarray,
-    tau: float,
-) -> np.ndarray:
-    t_unit, t_norms = _unit_rows(text, "class embeddings")
-    cos = v_unit @ t_unit.T  # (B, C)
-    accum = grad_logits.T @ v_unit  # (C, D)
-    diag = (grad_logits * cos).sum(axis=0)  # (C,)
-    return (accum - diag[:, None] * t_unit) / (t_norms[:, None] * tau)
+def _chain_logits_to_text(grad_logits: np.ndarray, scores: StudentScores) -> np.ndarray:
+    accum = grad_logits.T @ scores.v_unit  # (C, D)
+    diag = (grad_logits * scores.cos).sum(axis=0)  # (C,)
+    return (accum - diag[:, None] * scores.t_unit) / (scores.t_norms[:, None] * scores.tau)
 
 
-def ce_grad_wrt_text(
-    images: np.ndarray,
-    text: np.ndarray,
-    labels: np.ndarray,
-    tau: float,
-) -> np.ndarray:
+def ce_grad_wrt_text(scores: StudentScores, labels: np.ndarray) -> np.ndarray:
     """d(batch-mean cross-entropy)/dT, shape (C, D)."""
-    v_unit, _ = _unit_rows(images, "images")
-    logits = cosine_logits(images, text, tau)
-    probs = np.exp(_log_softmax(logits))
-    labels = _check_labels(labels, probs.shape[0], probs.shape[1])
-    grad_logits = probs.copy()
+    grad_logits = np.exp(scores.log_probs)
     grad_logits[np.arange(len(labels)), labels] -= 1.0
-    grad_logits /= probs.shape[0]
-    return _chain_logits_to_text(grad_logits, v_unit, text, tau)
+    grad_logits /= grad_logits.shape[0]
+    return _chain_logits_to_text(grad_logits, scores)
 
 
 def sccm_grad_wrt_text(text: np.ndarray, ensemble_mean: np.ndarray) -> np.ndarray:
     return 2.0 * (np.asarray(text, dtype=np.float64) - np.asarray(ensemble_mean, dtype=np.float64))
 
 
-def kdsp_grad_wrt_text(
-    images: np.ndarray,
-    text: np.ndarray,
-    teacher_ensemble: np.ndarray,
-    tau: float,
-) -> np.ndarray:
-    v_unit, _ = _unit_rows(images, "images")
-    student = np.exp(_log_softmax(cosine_logits(images, text, tau)))
-    teacher = np.exp(_log_softmax(cosine_logits(images, teacher_ensemble, tau)))
-    grad_logits = (student - teacher) / student.shape[0]
-    return _chain_logits_to_text(grad_logits, v_unit, text, tau)
+def kdsp_grad_wrt_text(scores: StudentScores, log_teacher: np.ndarray) -> np.ndarray:
+    student = np.exp(scores.log_probs)
+    grad_logits = (student - np.exp(log_teacher)) / student.shape[0]
+    return _chain_logits_to_text(grad_logits, scores)
 
 
 def loss_gradient(
     handle: SyntheticTextEncoder,
     ctx: ContextVectors,
     class_names: list[str],
-    images: np.ndarray,
+    v_unit: np.ndarray,
     labels: np.ndarray,
     ensemble_mean: np.ndarray | None,
-    teacher_ensemble: np.ndarray | None,
+    teacher_unit: np.ndarray | None,
     lambda1: float,
     lambda2: float,
 ) -> tuple[LossBreakdown, np.ndarray]:
     """Loss breakdown plus the exact gradient of the total w.r.t. the context.
 
-    Terms with a zero weight are skipped entirely, so a lambda1=lambda2=0
-    call follows the exact same arithmetic as a CE-only objective.
+    ``v_unit`` and ``labels`` are a batch's rows, and ``teacher_unit`` the
+    teacher rows, of what ``prepare_support`` returns. Terms with a zero
+    weight are skipped entirely, so a lambda1=lambda2=0 call follows the
+    exact same arithmetic as a CE-only objective.
     """
     text, tape = encode_text_with_context(handle, ctx, class_names)
-    breakdown = total_loss(
-        images, labels, text, ensemble_mean, teacher_ensemble,
-        handle.tau, lambda1, lambda2,
-    )
-    grad_text = ce_grad_wrt_text(images, text, labels, handle.tau)
+    scores = student_scores(v_unit, text, handle.tau)
+    log_teacher = None
+    if teacher_unit is not None:
+        log_teacher = teacher_log_probs(v_unit, teacher_unit, handle.tau)
+    breakdown = total_loss(scores, labels, ensemble_mean, log_teacher, lambda1, lambda2)
+    grad_text = ce_grad_wrt_text(scores, labels)
     if lambda1 != 0.0:
         grad_text = grad_text + lambda1 * sccm_grad_wrt_text(text, ensemble_mean)
     if lambda2 != 0.0:
-        grad_text = grad_text + lambda2 * kdsp_grad_wrt_text(
-            images, text, teacher_ensemble, handle.tau
-        )
+        grad_text = grad_text + lambda2 * kdsp_grad_wrt_text(scores, log_teacher)
     return breakdown, tape.vjp(grad_text)

@@ -92,6 +92,10 @@ def post_json(url: str, payload: dict, headers: dict[str, str], timeout: float):
         raise OSError(f"malformed HTTP response: {e!r}") from e
 
 
+class _TransientReply(NetworkError):
+    """An HTTP 429 (rate limited) or 5xx (server side) reply: worth asking again."""
+
+
 def _post_chat(config: LlmEndpointConfig, query: str) -> str:
     api_key = os.environ.get(config.api_key_env_var)
     if not api_key:
@@ -110,7 +114,12 @@ def _post_chat(config: LlmEndpointConfig, query: str) -> str:
     except TimeoutError as e:
         raise NetworkError(f"request to {url} timed out after {config.timeout}s") from e
     except OSError as e:
-        raise NetworkError(f"request to {url} failed: {e}") from e
+        # urllib's HTTPError carries the status as ``code``; transport errors carry none
+        code = getattr(e, "code", None)
+        transient = isinstance(code, int) and (code == 429 or 500 <= code <= 599)
+        raise (_TransientReply if transient else NetworkError)(
+            f"request to {url} failed: {e}"
+        ) from e
     except (KeyError, IndexError, TypeError, ValueError) as e:
         raise NetworkError(f"unexpected response shape from {url}: {e}") from e
 
@@ -124,11 +133,14 @@ def fetch_prompts(
 ) -> PromptBank:
     """Collect exactly ``n`` prompts per catalog class.
 
-    Short responses trigger bounded re-queries whose parsed lines are
-    merged with exact-string deduplication. If any class still falls short
-    after ``max_retries`` attempts the whole fetch fails, listing the
-    deficient classes. With ``fallback_bank`` set, the bank is loaded from
-    disk instead and no network activity happens.
+    A short response or an HTTP 429 or 5xx reply triggers a re-query, at
+    most ``max_retries`` of them per class; the wait before re-query k is
+    ``retry_sleep * 2**(k - 1)``. Parsed lines are merged with exact-string
+    deduplication. Any other failed request ends the fetch at once. If any
+    class still falls short after the last attempt the whole fetch fails,
+    listing the deficient classes (or naming the 429 or 5xx that the last
+    attempt got). With ``fallback_bank`` set, the bank is loaded from disk
+    instead and no network activity happens.
     """
     if fallback_bank is not None:
         bank = load_prompt_bank(fallback_bank)
@@ -144,8 +156,15 @@ def fetch_prompts(
         seen: set[str] = set()
         for attempt in range(config.max_retries + 1):
             if attempt > 0 and retry_sleep > 0:
-                time.sleep(retry_sleep)
-            for line in parse_prompt_lines(_post_chat(config, query)):
+                time.sleep(retry_sleep * 2 ** (attempt - 1))
+            try:
+                content = _post_chat(config, query)
+            except _TransientReply as e:
+                if attempt == config.max_retries:
+                    raise
+                log.warning("attempt %d for %r: %s; asking again", attempt + 1, entry.name, e)
+                continue
+            for line in parse_prompt_lines(content):
                 if line not in seen:
                     seen.add(line)
                     collected.append(line)

@@ -30,6 +30,7 @@ from .objective import (
     class_probabilities,
     loss_gradient,
     predict,
+    prepare_support,
 )
 from .types import ClassCatalog, DatasetManifest, RunConfig
 
@@ -153,6 +154,8 @@ def train_run(
 
     Passing a ``state`` (fresh or loaded from a checkpoint) resumes at
     ``state.epoch``; the returned logs cover only the epochs run here.
+    Malformed support rows, labels or teacher rows, and a non-positive
+    tau, raise a ``DataError`` before the first step.
     """
     if support.embeddings is None:
         raise DataError("support set has no embeddings attached")
@@ -165,7 +168,10 @@ def train_run(
         )
 
     images = support.embeddings
-    labels = support.labels
+    v_unit, labels, teacher_unit = prepare_support(
+        images, support.labels, len(class_names), handle.embedding_dim, handle.tau,
+        teacher_ensemble,
+    )
     n = images.shape[0]
     logs: list[EpochLog] = []
 
@@ -176,8 +182,8 @@ def train_run(
             batch = order[start : start + config.batch_size]
             breakdown, grad = loss_gradient(
                 handle, state.ctx, class_names,
-                images[batch], labels[batch],
-                ensemble_mean, teacher_ensemble,
+                v_unit[batch], labels[batch],
+                ensemble_mean, teacher_unit,
                 config.lambda1, config.lambda2,
             )
             if not np.isfinite(breakdown.total):

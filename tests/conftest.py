@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bmcoop.backbone import SyntheticTextEncoder
-from bmcoop.objective import ce_grad_wrt_text
+from bmcoop.objective import LossBreakdown
 from bmcoop.types import RunConfig
 
 DESK_NAMES = ["glioma tumor", "meningioma tumor", "normal brain"]
@@ -109,11 +109,87 @@ def per_class_vjp(handle, unit, norm, seq_len, g, ctx_rows):
     return np.tile(handle.projection.T @ g_raw / seq_len, (ctx_rows, 1))
 
 
+# ── per-term oracle ──────────────────────────────────────────────────
+#
+# A frozen copy of the unfused objective: every term normalizes the raw
+# images and the class text itself and builds its own softmaxes. The
+# package's one-block-per-step path must match it bit for bit.
+
+def _oracle_unit_rows(matrix):
+    matrix = np.asarray(matrix, dtype=np.float64)
+    norms = np.linalg.norm(matrix, axis=1)
+    return matrix / norms[:, None], norms
+
+
+def _oracle_logits(images, text, tau):
+    v_unit, _ = _oracle_unit_rows(images)
+    t_unit, _ = _oracle_unit_rows(text)
+    return (v_unit @ t_unit.T) / tau
+
+
+def _oracle_log_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _oracle_chain(grad_logits, v_unit, text, tau):
+    t_unit, t_norms = _oracle_unit_rows(text)
+    cos = v_unit @ t_unit.T
+    accum = grad_logits.T @ v_unit
+    diag = (grad_logits * cos).sum(axis=0)
+    return (accum - diag[:, None] * t_unit) / (t_norms[:, None] * tau)
+
+
+def oracle_ce_grad(images, text, labels, tau) -> np.ndarray:
+    """d(batch-mean cross-entropy)/dT from raw images and class text."""
+    v_unit, _ = _oracle_unit_rows(images)
+    probs = np.exp(_oracle_log_softmax(_oracle_logits(images, text, tau)))
+    grad_logits = probs.copy()
+    grad_logits[np.arange(len(labels)), labels] -= 1.0
+    grad_logits /= probs.shape[0]
+    return _oracle_chain(grad_logits, v_unit, text, tau)
+
+
+def oracle_kdsp_grad(images, text, teacher_ensemble, tau) -> np.ndarray:
+    """d(batch-mean KL(teacher || student))/dT from raw images and class text."""
+    v_unit, _ = _oracle_unit_rows(images)
+    student = np.exp(_oracle_log_softmax(_oracle_logits(images, text, tau)))
+    teacher = np.exp(_oracle_log_softmax(_oracle_logits(images, teacher_ensemble, tau)))
+    return _oracle_chain((student - teacher) / student.shape[0], v_unit, text, tau)
+
+
+def oracle_total_loss(images, labels, text, ensemble_mean, teacher_ensemble, tau, lambda1, lambda2):
+    """The composite loss, each term from raw images, text and teacher."""
+    log_probs = _oracle_log_softmax(_oracle_logits(images, text, tau))
+    ce = float(-np.mean(log_probs[np.arange(len(labels)), labels]))
+    sccm = 0.0
+    if ensemble_mean is not None:
+        diff = np.asarray(text, dtype=np.float64) - ensemble_mean
+        sccm = float(np.sum(diff * diff))
+    kdsp = 0.0
+    if teacher_ensemble is not None:
+        log_teacher = _oracle_log_softmax(_oracle_logits(images, teacher_ensemble, tau))
+        teacher = np.exp(log_teacher)
+        terms = np.where(teacher > 0.0, teacher * (log_teacher - log_probs), 0.0)
+        kdsp = max(0.0, float(np.mean(terms.sum(axis=1))))
+    return LossBreakdown.compose(ce, sccm, kdsp, lambda1, lambda2)
+
+
+def oracle_text_grad(images, labels, text, ensemble_mean, teacher_ensemble, tau, lambda1, lambda2):
+    """dTotal/dT summed term by term in the order ce, sccm, kdsp."""
+    grad = oracle_ce_grad(images, text, labels, tau)
+    if lambda1 != 0.0:
+        grad = grad + lambda1 * (2.0 * (np.asarray(text, dtype=np.float64) - ensemble_mean))
+    if lambda2 != 0.0:
+        grad = grad + lambda2 * oracle_kdsp_grad(images, text, teacher_ensemble, tau)
+    return grad
+
+
 def per_class_ce_grad(handle, vectors, names, images, labels) -> np.ndarray:
     """CE gradient w.r.t. the context with one encode and one VJP per class."""
     encoded = [per_class_encode(handle, vectors, name) for name in names]
     text = np.stack([unit for unit, _, _ in encoded])
-    grad_text = ce_grad_wrt_text(images, text, labels, handle.tau)
+    grad_text = oracle_ce_grad(images, text, labels, handle.tau)
     grad = np.zeros_like(vectors)
     for (unit, norm, seq_len), g in zip(encoded, grad_text):
         grad += per_class_vjp(handle, unit, norm, seq_len, g, vectors.shape[0])

@@ -26,7 +26,10 @@ from bmcoop.objective import (
     kdsp_loss,
     loss_gradient,
     predict,
+    prepare_support,
     sccm_loss,
+    student_scores,
+    teacher_log_probs,
     total_loss,
 )
 from bmcoop.trainer import FewShotSupportSet, prepare_ensembles, train_run
@@ -98,8 +101,13 @@ def test_criterion_2_gradient_exactness():
                         labels = rng.integers(0, n_classes, size=batch)
                         pg = rng.standard_normal((n_classes, handle.embedding_dim)) * 0.4
                         ps = unit_rows(rng, n_classes, handle.embedding_dim)
+                        v_unit, checked, teacher_unit = prepare_support(
+                            v, labels, n_classes, handle.embedding_dim, handle.tau, ps
+                        )
+                        log_teacher = teacher_log_probs(v_unit, teacher_unit, handle.tau)
                         _, grad = loss_gradient(
-                            handle, ctx, names, v, labels, pg, ps, lambda1, lambda2
+                            handle, ctx, names, v_unit, checked, pg, teacher_unit,
+                            lambda1, lambda2,
                         )
 
                         def f(vectors):
@@ -107,7 +115,8 @@ def test_criterion_2_gradient_exactness():
                             c.vectors = vectors
                             text, _ = encode_text_with_context(handle, c, names)
                             return total_loss(
-                                v, labels, text, pg, ps, handle.tau, lambda1, lambda2
+                                student_scores(v_unit, text, handle.tau),
+                                checked, pg, log_teacher, lambda1, lambda2,
                             ).total
 
                         fd = np.zeros_like(ctx.vectors)
@@ -163,7 +172,7 @@ def test_criterion_3_oracle_equivalence():
 
         labels = rng.integers(0, c, size=b)
         oracle_ce = -sum(math.log(oracle_probs[i, labels[i]]) for i in range(b)) / b
-        ce = total_loss(v, labels, t, None, None, tau, 0.0, 0.0).ce
+        ce = total_loss(student_scores(v, t, tau), labels, None, None, 0.0, 0.0).ce
         worst["ce"] = max(worst["ce"], abs(ce - oracle_ce))
 
         pg = rng.standard_normal((c, d))
@@ -410,13 +419,19 @@ def cli_dataset(tmp_path):
     return tmp_path, config, path
 
 
-def test_criterion_7_end_to_end_determinism(cli_dataset):
+@pytest.mark.parametrize(
+    "lambda1,lambda2", [(0.0, 0.0), (0.5, 0.25)], ids=["ce-only", "ce-sccm-kdsp"]
+)
+def test_criterion_7_end_to_end_determinism(cli_dataset, lambda1, lambda2):
     start = time.monotonic()
     tmp_path, config, config_path = cli_dataset
     # eval consumes the checkpoint train just produced
-    config_path.write_text(
-        json.dumps({**config, "checkpoint": str(tmp_path / "out" / "checkpoint.ckpt")})
-    )
+    config_path.write_text(json.dumps({
+        **config,
+        "checkpoint": str(tmp_path / "out" / "checkpoint.ckpt"),
+        "lambda1": lambda1,
+        "lambda2": lambda2,
+    }))
     artifacts = {}
     for attempt in range(2):
         assert cli_run("train", str(config_path)) == 0
@@ -426,10 +441,14 @@ def test_criterion_7_end_to_end_determinism(cli_dataset):
             (tmp_path / "out" / "train_log.tsv").read_bytes(),
             (tmp_path / "out" / "eval_report.json").read_bytes(),
         )
+    # the sccm and kdsp columns of the training log show which terms ran
+    log_rows = [line.split("\t") for line in artifacts[0][1].decode().splitlines()]
+    extra_terms = all(float(row[2]) > 0.0 and float(row[3]) > 0.0 for row in log_rows)
     elapsed = time.monotonic() - start
     report(
-        "criterion-7 end-to-end determinism (train + eval twice)",
-        artifacts[0] == artifacts[1] and elapsed < 120.0,
+        f"criterion-7 end-to-end determinism (train + eval twice, "
+        f"lambda1={lambda1}, lambda2={lambda2})",
+        artifacts[0] == artifacts[1] and extra_terms == (lambda1 != 0.0) and elapsed < 120.0,
         f"{elapsed:.1f}s",
     )
 

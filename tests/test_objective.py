@@ -12,14 +12,19 @@ from bmcoop.backbone import SyntheticTextEncoder, encode_text_with_context, init
 from bmcoop.errors import DataError
 from bmcoop.objective import (
     LossBreakdown,
-    _ce_from_logits,
+    _ce,
+    _log_softmax,
     class_probabilities,
     kdsp_loss,
     loss_gradient,
     predict,
+    prepare_support,
     sccm_loss,
+    student_scores,
+    teacher_log_probs,
     total_loss,
 )
+from conftest import oracle_text_grad, oracle_total_loss
 
 
 def unit_rows(rng, n, d):
@@ -99,11 +104,11 @@ class TestPredict:
 class TestCeLoss:
     def test_perfect_prediction_is_zero(self):
         logits = np.array([[0.0, -1000.0, -1000.0]])
-        assert _ce_from_logits(logits, np.array([0])) == pytest.approx(0.0, abs=1e-12)
+        assert _ce(_log_softmax(logits), np.array([0])) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_over_four_classes(self):
         logits = np.zeros((6, 4))
-        assert _ce_from_logits(logits, np.zeros(6, dtype=int)) == pytest.approx(math.log(4), rel=1e-12)
+        assert _ce(_log_softmax(logits), np.zeros(6, dtype=int)) == pytest.approx(math.log(4), rel=1e-12)
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(3)
@@ -111,11 +116,12 @@ class TestCeLoss:
         probs = softmax_oracle(logits)
         labels = rng.integers(0, 5, size=10)
         oracle = -np.mean([np.log(probs[i, labels[i]]) for i in range(10)])
-        assert _ce_from_logits(logits, labels) == pytest.approx(oracle, abs=1e-12)
+        assert _ce(_log_softmax(logits), labels) == pytest.approx(oracle, abs=1e-12)
 
     def test_bad_label_rejected(self):
+        # labels are checked once per run, with the support they label
         with pytest.raises(DataError):
-            _ce_from_logits(np.zeros((1, 3)), np.array([3]))
+            prepare_support(np.ones((1, 3)), np.array([3]), 3, 3, 0.01, None)
 
 
 class TestSccmLoss:
@@ -188,7 +194,7 @@ class TestTotalLoss:
         v = unit_rows(rng, 4, 8)
         t = unit_rows(rng, 3, 8)
         labels = np.array([0, 1, 2, 0])
-        breakdown = total_loss(v, labels, t, None, None, 0.01, 0.0, 0.0)
+        breakdown = total_loss(student_scores(v, t, 0.01), labels, None, None, 0.0, 0.0)
         logits = (v @ t.T) / 0.01
         oracle = -np.mean(np.log(softmax_oracle(logits)[np.arange(4), labels]))
         assert breakdown.total == breakdown.ce
@@ -204,7 +210,9 @@ class TestTotalLoss:
             ps = unit_rows(rng, 4, 8)
             labels = rng.integers(0, 4, size=3)
             l1, l2 = rng.uniform(0, 3, size=2)
-            bd = total_loss(v, labels, t, pg, ps, 0.05, l1, l2)
+            bd = total_loss(
+                student_scores(v, t, 0.05), labels, pg, teacher_log_probs(v, ps, 0.05), l1, l2
+            )
             recomposed = bd.ce + l1 * bd.sccm + l2 * bd.kdsp
             assert bd.total == pytest.approx(recomposed, rel=1e-15)
 
@@ -213,19 +221,28 @@ class TestTotalLoss:
         v = unit_rows(rng, 2, 6)
         t = unit_rows(rng, 2, 6)
         with pytest.raises(DataError):
-            total_loss(v, np.array([0, 1]), t, None, None, 0.01, 0.5, 0.0)
+            total_loss(student_scores(v, t, 0.01), np.array([0, 1]), None, None, 0.5, 0.0)
 
     def test_breakdown_invariant(self):
         bd = LossBreakdown.compose(1.0, 2.0, 3.0, 0.5, 0.25)
         assert bd.total == 1.0 + 0.5 * 2.0 + 0.25 * 3.0
 
 
+def support_rows(handle, names, v, labels, ps):
+    """(unit rows, checked labels, unit teacher rows) as a training run prepares them."""
+    return prepare_support(v, labels, len(names), handle.embedding_dim, handle.tau, ps)
+
+
 def finite_difference_grad(handle, ctx, names, v, labels, pg, ps, l1, l2, eps=1e-5):
+    v_unit, labels, teacher_unit = support_rows(handle, names, v, labels, ps)
+    log_teacher = None if ps is None else teacher_log_probs(v_unit, teacher_unit, handle.tau)
+
     def f(vectors):
         c = ctx.copy()
         c.vectors = vectors
         text, _ = encode_text_with_context(handle, c, names)
-        return total_loss(v, labels, text, pg, ps, handle.tau, l1, l2).total
+        scores = student_scores(v_unit, text, handle.tau)
+        return total_loss(scores, labels, pg, log_teacher, l1, l2).total
 
     fd = np.zeros_like(ctx.vectors)
     for i in range(ctx.vectors.shape[0]):
@@ -258,8 +275,9 @@ class TestLossGradient:
                 labels = rng.integers(0, 3, size=4)
                 pg = rng.standard_normal((3, small_handle.embedding_dim)) * 0.4
                 ps = unit_rows(rng, 3, small_handle.embedding_dim)
+                v_unit, checked, teacher_unit = support_rows(small_handle, names, v, labels, ps)
                 _, grad = loss_gradient(
-                    small_handle, ctx, names, v, labels, pg, ps, l1, l2
+                    small_handle, ctx, names, v_unit, checked, pg, teacher_unit, l1, l2
                 )
                 fd = finite_difference_grad(
                     small_handle, ctx, names, v, labels, pg, ps, l1, l2
@@ -324,8 +342,59 @@ class TestLossGradient:
         v = unit_rows(rng, 4, small_handle.embedding_dim)
         labels = np.array([0, 1, 0, 1])
         ps = unit_rows(rng, 2, small_handle.embedding_dim)
-        _, grad = loss_gradient(small_handle, ctx, names, v, labels, None, ps, 0.0, 1.0)
+        v_unit, checked, teacher_unit = support_rows(small_handle, names, v, labels, ps)
+        _, grad = loss_gradient(
+            small_handle, ctx, names, v_unit, checked, None, teacher_unit, 0.0, 1.0
+        )
         fd = finite_difference_grad(
             small_handle, ctx, names, v, labels, None, ps, 0.0, 1.0
         )
         assert max_rel_error(grad, fd) < 1e-4
+
+
+FUSED_NAMES = ["glioma tumor", "normal brain", "pituitary tumor", "kidney stone", "lung opacity"]
+# a small encoder and the paper's (D=512, W=768) one, whose GEMMs take other kernels
+FUSED_HANDLES = [
+    SyntheticTextEncoder(seed=3, embedding_dim=24, token_width=40, tau=0.01),
+    SyntheticTextEncoder(seed=4, embedding_dim=512, token_width=768, tau=0.01),
+]
+
+
+class TestFusedStepAgainstPerTermOracle:
+    """One shared logit block per step against the frozen per-term path
+    (``conftest.oracle_*``), which renormalizes the raw images and the
+    class text inside every term: the losses and the context gradient
+    must be equal bit for bit."""
+
+    @pytest.mark.parametrize("lambda1,lambda2", [(0.0, 0.0), (0.5, 0.0), (0.0, 0.25), (0.5, 0.25)])
+    def test_step_is_bit_identical(self, lambda1, lambda2):
+        for seed in range(24):
+            rng = np.random.default_rng(seed)
+            handle = FUSED_HANDLES[seed % 2]
+            dim = handle.embedding_dim
+            names = FUSED_NAMES[: int(rng.integers(2, len(FUSED_NAMES) + 1))]
+            c = len(names)
+            n = int(rng.integers(c, 40))
+            ctx = init_context(handle, "a photo of a", 4)
+            ctx.vectors = ctx.vectors + 0.1 * rng.standard_normal(ctx.vectors.shape)
+            # raw support rows of mixed norms, so normalization is exercised
+            images = rng.standard_normal((n, dim)) * rng.uniform(0.5, 2.0, size=(n, 1))
+            labels = rng.integers(0, c, size=n)
+            pg = ps = None
+            if (lambda1, lambda2) != (0.0, 0.0):
+                pg = 0.4 * rng.standard_normal((c, dim))
+                ps = unit_rows(rng, c, dim)
+            batch = rng.choice(n, size=min(n, int(rng.integers(1, 9))), replace=False)
+
+            v_unit, checked, teacher_unit = prepare_support(images, labels, c, dim, handle.tau, ps)
+            breakdown, grad = loss_gradient(
+                handle, ctx, names, v_unit[batch], checked[batch], pg, teacher_unit,
+                lambda1, lambda2,
+            )
+
+            text, tape = encode_text_with_context(handle, ctx, names)
+            args = (images[batch], labels[batch], text, pg, ps, handle.tau, lambda1, lambda2)
+            want = oracle_total_loss(*args)
+            for field in ("ce", "sccm", "kdsp", "lambda1", "lambda2", "total"):
+                assert np.array_equal(getattr(breakdown, field), getattr(want, field)), (seed, field)
+            assert np.array_equal(grad, tape.vjp(oracle_text_grad(*args))), seed

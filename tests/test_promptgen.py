@@ -214,11 +214,32 @@ class TestHttpPost:
         assert payload["model"] == "test-model"
         assert payload["messages"][0]["content"] == build_query("glioma tumor", "MRI", 2)
 
-    def test_server_error_is_network_error(self, local_endpoint, api_key):
-        endpoint, replies, _ = local_endpoint
-        replies.append((503, {"error": "overloaded"}))
+    def test_server_error_is_network_error(self, local_endpoint, api_key, monkeypatch):
+        endpoint, replies, received = local_endpoint
+        sleeps = []
+        monkeypatch.setattr(promptgen.time, "sleep", sleeps.append)
+        replies.extend([(503, {"error": "overloaded"})] * (endpoint.max_retries + 1))
         with pytest.raises(NetworkError, match="503"):
-            fetch_prompts(endpoint, CATALOG, 2)
+            fetch_prompts(endpoint, CATALOG, 2, retry_sleep=0.5)
+        # every attempt of the budget was spent, each wait twice the one before
+        assert len(received) == endpoint.max_retries + 1
+        assert sleeps == [0.5, 1.0, 2.0]
+
+    @pytest.mark.parametrize("status", [429, 500, 503])
+    def test_transient_error_then_success(self, local_endpoint, api_key, status):
+        endpoint, replies, received = local_endpoint
+        replies.append((status, {"error": "try later"}))
+        replies.append((200, reply(numbered(["finding a", "finding b"]))))
+        bank = fetch_prompts(endpoint, CATALOG, 2, retry_sleep=0.0)
+        assert bank.prompts["glioma tumor"] == ["finding a", "finding b"]
+        assert len(received) == 2
+
+    def test_client_error_fails_at_once(self, local_endpoint, api_key):
+        endpoint, replies, received = local_endpoint
+        replies.append((401, {"error": "bad key"}))
+        with pytest.raises(NetworkError, match="401"):
+            fetch_prompts(endpoint, CATALOG, 2, retry_sleep=0.0)
+        assert len(received) == 1
 
 
 class TestValidateBank:

@@ -1,5 +1,6 @@
 """Support sampling, the SGD loop, and checkpoint/resume determinism."""
 
+import copy
 import dataclasses
 import hashlib
 import struct
@@ -7,7 +8,8 @@ import struct
 import numpy as np
 import pytest
 
-from bmcoop.backbone import init_context
+from bmcoop import trainer
+from bmcoop.backbone import encode_text_with_context, init_context
 from bmcoop.errors import DataError, NumericError
 from bmcoop.io import load_manifest
 from bmcoop.trainer import (
@@ -20,7 +22,7 @@ from bmcoop.trainer import (
     train_run,
     write_training_log,
 )
-from conftest import per_class_ce_grad
+from conftest import oracle_text_grad, oracle_total_loss, per_class_ce_grad
 from bmcoop.types import SPLITS, ClassCatalog, ClassEntry, DatasetManifest
 
 
@@ -205,6 +207,71 @@ class TestTrainRun:
             train_run(support, desk_task.names, desk_task.handle, cfg)
         assert "epoch" in err.value.state
         assert "ctx_norm" in err.value.state
+        assert set(err.value.state) == {
+            "epoch", "batch_start", "ce", "sccm", "kdsp", "ctx_norm", "grad_norm",
+        }
+
+    @pytest.mark.parametrize("fault", ["zero-norm", "width", "label", "tau"])
+    def test_bad_input_rejected_before_first_step(self, desk_task, monkeypatch, fault):
+        support = make_support(desk_task)
+        images, labels, handle = support.embeddings.copy(), support.labels.copy(), desk_task.handle
+        if fault == "zero-norm":
+            images[5] = 0.0
+        elif fault == "width":
+            images = np.hstack([images, images[:, :1]])
+        elif fault == "label":
+            labels[7] = len(desk_task.names)
+        else:
+            handle = copy.copy(handle)
+            handle.tau = 0.0
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran before the input check")
+
+        monkeypatch.setattr(trainer, "loss_gradient", no_step)
+        bad = FewShotSupportSet(item_ids=support.item_ids, labels=labels, embeddings=images)
+        match = {"zero-norm": "zero-norm", "width": "width", "label": "label outside",
+                 "tau": "tau must be > 0"}[fault]
+        with pytest.raises(DataError, match=match) as err:
+            train_run(bad, desk_task.names, handle, desk_task.config(epochs=1))
+        assert err.value.exit_code == 3
+
+    def test_matches_per_term_oracle_trajectory(self, desk_task):
+        """Whole run at lambda = (0.5, 0.25) against a loop over the frozen
+        per-term objective: every epoch's loss means and the final context
+        are equal bit for bit."""
+        cfg = desk_task.config(epochs=6, lambda1=0.5, lambda2=0.25)
+        support = make_support(desk_task)
+        # raw rows of mixed norms, so the once-per-run normalization is exercised
+        scale = np.random.default_rng(3).uniform(0.5, 2.0, size=(len(support.labels), 1))
+        support = support.with_embeddings(support.embeddings * scale)
+        pg, ps, _ = prepare_ensembles(
+            desk_task.names, desk_task.aligned_bank(), support.embeddings, cfg
+        )
+        state, logs = train_run(
+            support, desk_task.names, desk_task.handle, cfg,
+            ensemble_mean=pg, teacher_ensemble=ps,
+        )
+
+        handle, images, labels = desk_task.handle, support.embeddings, support.labels
+        ref = initial_state(handle, cfg)
+        n = len(labels)
+        for epoch in range(cfg.epochs):
+            order = ref.rng.permutation(n)
+            sums = np.zeros(3)
+            for start in range(0, n, cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                text, tape = encode_text_with_context(handle, ref.ctx, desk_task.names)
+                args = (images[batch], labels[batch], text, pg, ps, handle.tau, 0.5, 0.25)
+                bd = oracle_total_loss(*args)
+                grad = tape.vjp(oracle_text_grad(*args))
+                ref.ctx.vectors = (
+                    (ref.ctx.vectors - cfg.learning_rate * grad).astype(np.float32).astype(np.float64)
+                )
+                sums += len(batch) * np.array([bd.ce, bd.sccm, bd.kdsp])
+            got = logs[epoch].breakdown
+            assert np.array_equal(sums / n, [got.ce, got.sccm, got.kdsp]), epoch
+        assert np.array_equal(state.ctx.vectors, ref.ctx.vectors)
 
 
 class TestTrainingLog:
