@@ -43,7 +43,6 @@ from .io import (
 from .objective import (
     LossBreakdown,
     class_probabilities,
-    kdsp_loss,
     loss_gradient,
     predict,
     prepare_support,
@@ -51,7 +50,7 @@ from .objective import (
     student_scores,
     total_loss,
 )
-from .promptgen import LlmEndpointConfig, build_query, fetch_prompts, validate_bank
+from .promptgen import LlmEndpointConfig, build_query, fetch_prompts
 from .trainer import (
     FewShotSupportSet,
     TrainState,

@@ -44,6 +44,8 @@ import numpy as np
 from .errors import DataError
 from .types import EmbeddingMatrix, PromptBank, check_finite
 
+# Standard deviation of the seeded Gaussian token vectors.
+TOKEN_SIGMA = 0.25
 # Standard deviation of the Gaussian rows used to right-pad a context
 # whose init text has fewer tokens than the context length.
 PAD_SIGMA = 0.02
@@ -59,7 +61,6 @@ class ContextVectors:
     """The learnable prompt context: M rows in token-embedding space."""
 
     vectors: np.ndarray  # (M, d_tok) float64
-    init_text: str = ""
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
@@ -76,7 +77,7 @@ class ContextVectors:
         return self.vectors.shape[1]
 
     def copy(self) -> "ContextVectors":
-        return ContextVectors(vectors=self.vectors.copy(), init_text=self.init_text)
+        return ContextVectors(vectors=self.vectors.copy())
 
 
 @dataclass
@@ -119,7 +120,6 @@ class SyntheticTextEncoder:
         embedding_dim: int = 64,
         token_width: int = 96,
         tau: float = 0.01,
-        token_sigma: float = 0.25,
     ):
         if embedding_dim <= 0 or token_width <= 0:
             raise DataError("embedding_dim and token_width must be positive")
@@ -129,12 +129,10 @@ class SyntheticTextEncoder:
         self.embedding_dim = int(embedding_dim)
         self.token_width = int(token_width)
         self.tau = float(tau)
-        self.token_sigma = float(token_sigma)
         rng = np.random.default_rng(_hash_seed("text-projection", str(self.seed)))
         self.projection = rng.standard_normal((embedding_dim, token_width)) / np.sqrt(token_width)
         self.projection.setflags(write=False)
         self._token_cache: dict[str, np.ndarray] = {}
-        self._name_cache: dict[str, tuple[np.ndarray, int]] = {}
         self._block_cache: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
 
     def tokenize(self, text: str) -> list[str]:
@@ -144,7 +142,7 @@ class SyntheticTextEncoder:
         vec = self._token_cache.get(token)
         if vec is None:
             rng = np.random.default_rng(_hash_seed("token", str(self.seed), token))
-            vec = rng.standard_normal(self.token_width) * self.token_sigma
+            vec = rng.standard_normal(self.token_width) * TOKEN_SIGMA
             vec.setflags(write=False)
             self._token_cache[token] = vec
         return vec
@@ -155,24 +153,15 @@ class SyntheticTextEncoder:
             return np.zeros((0, self.token_width))
         return np.stack([self.token_vector(t) for t in tokens])
 
-    def name_projection(self, name: str) -> tuple[np.ndarray, int]:
-        """``(P·n, token count)`` for a class name, n being its token-vector sum."""
-        cached = self._name_cache.get(name)
-        if cached is None:
-            rows = self.token_vectors(name)
-            projected = self.projection @ rows.sum(axis=0)
-            projected.setflags(write=False)
-            cached = self._name_cache[name] = (projected, rows.shape[0])
-        return cached
-
     def name_block(self, class_names: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only ``(P·n_c rows (C, D), token counts (C,))`` for a class list, memoised."""
+        """Read-only ``(P·n_c rows (C, D), token counts (C,))`` for a class list,
+        memoised; ``n_c`` is the token-vector sum of class name ``c``."""
         key = tuple(class_names)
         cached = self._block_cache.get(key)
         if cached is None:
-            names = [self.name_projection(name) for name in class_names]
-            rows = np.stack([row for row, _ in names])
-            counts = np.array([n_tokens for _, n_tokens in names], dtype=np.float64)
+            tokens = [self.token_vectors(name) for name in class_names]
+            rows = np.stack([self.projection @ t.sum(axis=0) for t in tokens])
+            counts = np.array([t.shape[0] for t in tokens], dtype=np.float64)
             rows.setflags(write=False)
             counts.setflags(write=False)
             cached = self._block_cache[key] = (rows, counts)
@@ -205,7 +194,7 @@ def init_context(handle: SyntheticTextEncoder, init_text: str, length: int) -> C
         rows = np.vstack([token_rows, pad]) if token_rows.size else pad
     else:
         rows = token_rows
-    return ContextVectors(vectors=rows.astype(np.float64), init_text=init_text)
+    return ContextVectors(vectors=rows.astype(np.float64))
 
 
 def encode_text_with_context(
@@ -240,37 +229,44 @@ def encode_text_with_context(
 
 
 def encode_text_bank(
-    handle: SyntheticTextEncoder, bank: PromptBank
-) -> dict[str, EmbeddingMatrix]:
-    """Encode every prompt of every class; frozen unit-norm rows, keyed by class.
+    handle: SyntheticTextEncoder, bank: PromptBank, class_names: list[str]
+) -> EmbeddingMatrix:
+    """Encode every prompt of the classes ``class_names``: frozen unit-norm
+    rows, class-major in the order of ``class_names``.
 
-    One projected token table for the bank, one count-block GEMM per class
-    (module docstring).
+    One projected token table for those classes, one count-block GEMM per
+    class (module docstring). Bank classes not in ``class_names`` are not
+    encoded.
     """
+    if not class_names:
+        raise DataError("no class names to encode")
     columns: dict[str, int] = {}
-    tokenized: dict[str, list[list[int]]] = {}
-    for name, prompts in bank.prompts.items():
+    tokenized: list[list[list[int]]] = []
+    for name in class_names:
+        prompts = bank.prompts.get(name)
         if not prompts:
-            raise DataError(f"class {name!r} has an empty prompt list")
+            raise DataError(f"class {name!r} has no prompts in the bank")
         rows = []
         for text in prompts:
             tokens = handle.tokenize(text)
             if not tokens:
                 raise DataError(f"cannot encode empty text under class {name!r}")
             rows.append([columns.setdefault(t, len(columns)) for t in tokens])
-        tokenized[name] = rows
-    out: dict[str, EmbeddingMatrix] = {}
-    if not columns:
-        return out
+        tokenized.append(rows)
     vocab = len(columns)
+    out = np.empty((sum(len(rows) for rows in tokenized), handle.embedding_dim))
     # T Pᵀ, (V, D); the (V, W) table T is dropped once it is projected
     projected = np.stack([handle.token_vector(t) for t in columns]) @ handle.projection.T
-    for name, rows in tokenized.items():
+    start = 0
+    for name, rows in zip(class_names, tokenized):
         lengths = np.array([len(r) for r in rows])
         flat = np.repeat(np.arange(len(rows)) * vocab, lengths) + np.concatenate(rows)
         # weights make bincount count in float64, ready for the GEMM
         counts = np.bincount(flat, weights=np.ones(flat.size), minlength=len(rows) * vocab)
-        raw = counts.reshape(len(rows), vocab) @ projected
+        # one GEMM per class, written in place: BLAS picks its kernel by the
+        # row count, so a single (C·N, V) product could round differently
+        raw = out[start : start + len(rows)]
+        np.matmul(counts.reshape(len(rows), vocab), projected, out=raw)
         raw /= lengths[:, None]
         norms = np.linalg.norm(raw, axis=1)
         zero = np.flatnonzero(norms == 0.0)
@@ -278,8 +274,8 @@ def encode_text_bank(
             text = bank.prompts[name][zero[0]]
             raise DataError(f"degenerate zero embedding for text {text!r}")
         raw /= norms[:, None]
-        out[name] = EmbeddingMatrix(values=raw, normalized=True)
-    return out
+        start += len(rows)
+    return EmbeddingMatrix(values=out, normalized=True)
 
 
 class SyntheticVisionEncoder:

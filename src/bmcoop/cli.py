@@ -18,7 +18,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from .backbone import (
 from .ensemble import mean_ensemble, write_score_report
 from .errors import BmcoopError, ConfigError, DataError, NumericError
 from .objective import cosine_logits, predict
-from .types import SPLITS, ClassCatalog, EmbeddingMatrix, RunConfig
+from .types import SPLITS, ClassCatalog, RunConfig
 
 log = logging.getLogger("bmcoop.cli")
 
@@ -89,7 +89,10 @@ class LoadedConfig:
 
     def out_dir(self) -> Path:
         out = self.path("out_dir") or Path(".")
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise DataError(f"cannot create output directory {out}: {e.strerror or e}") from e
         return out
 
 
@@ -147,7 +150,17 @@ def parse_config(path: str | Path, overrides: list[str] | None = None) -> Loaded
         raise ConfigError(f"eval_split must be one of {SPLITS}")
     if values["eval_classifier"] not in ("context", "ensemble"):
         raise ConfigError("eval_classifier must be 'context' or 'ensemble'")
+    _check_llm_settings(values["llm_timeout"], values["llm_max_retries"])
     return LoadedConfig(run=run, values=values, explicit=explicit, digest=digest)
+
+
+def _check_llm_settings(timeout, retries) -> None:
+    """Reject request settings that would only fail once a request is sent."""
+    # false for NaN, infinities and integers past the float range
+    if not 0 < timeout <= sys.float_info.max:
+        raise ConfigError(f"llm_timeout must be finite and > 0, got {timeout!r}")
+    if retries < 0 or (isinstance(retries, float) and not retries.is_integer()):
+        raise ConfigError(f"llm_max_retries must be a whole number >= 0, got {retries!r}")
 
 
 def _write_meta(artifact: Path, cfg: LoadedConfig, command: str) -> None:
@@ -247,17 +260,13 @@ def cmd_gen_prompts(cfg: LoadedConfig) -> None:
 def cmd_encode_bank(cfg: LoadedConfig) -> None:
     catalog = io.load_catalog(cfg.path("catalog", required=True))
     bank = io.load_prompt_bank(cfg.path("bank", required=True))
-    bank.validate(catalog)
-    diagnostics = promptgen.validate_bank(bank, catalog)
-    for diag in diagnostics:
-        log.warning("bank diagnostic: %s", diag)
-    handle = _text_handle(cfg)
-    per_class = encode_text_bank(handle, bank)
-    stacked = np.vstack([per_class[entry.name].values for entry in catalog])
+    for note in bank.validate(catalog):
+        log.warning("bank diagnostic: %s", note)
+    embeds = encode_text_bank(_text_handle(cfg), bank, catalog.names)
     out = cfg.path("bank_cache", required=True)
-    io.write_embedding_cache(EmbeddingMatrix(values=stacked), out)
+    io.write_embedding_cache(embeds, out)
     _write_meta(out, cfg, "encode-bank")
-    print(f"wrote bank cache: {out} ({stacked.shape[0]} rows)")
+    print(f"wrote bank cache: {out} ({embeds.row_count} rows)")
 
 
 def cmd_encode_images(cfg: LoadedConfig) -> None:
@@ -303,20 +312,20 @@ def cmd_select(cfg: LoadedConfig) -> None:
 
 def _train_common(cfg, catalog, manifest, source, handle, keep: slice, epochs: int):
     """Train the context on the catalog classes ``keep``; returns (state, epoch logs)."""
-    run = cfg.run.with_overrides(epochs=epochs)
+    run = replace(cfg.run, epochs=epochs)
     class_names = catalog.names[keep]
 
     support = trainer.sample_few_shot(manifest, catalog, run.shots, run.seed, keep)
-    support = support.with_embeddings(source.encode(support.item_ids).values)
+    images = source.encode(support.item_ids).values
 
     ensemble_mean_arr = teacher = None
     if run.lambda1 != 0.0 or run.lambda2 != 0.0:
         ensemble_mean_arr, teacher, _ = trainer.prepare_ensembles(
-            class_names, _bank_embeddings(cfg, catalog)[keep], support.embeddings, run
+            class_names, _bank_embeddings(cfg, catalog)[keep], images, run
         )
 
     return trainer.train_run(
-        support, class_names, handle, run,
+        images, support.labels, class_names, handle, run,
         ensemble_mean=ensemble_mean_arr, teacher_ensemble=teacher,
     )
 

@@ -36,17 +36,21 @@ def write_atomic(path: str | Path, write: Callable[[BinaryIO], None]) -> None:
 
     A reader sees the previous file or the whole new one, never a partial
     write; if ``write`` or the rename fails, the previous file is left as it
-    was and the temporary file is removed.
+    was and the temporary file is removed. An ``OSError`` on the way is a
+    ``DataError`` naming ``path``.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        try:
+            with open(tmp, "wb") as fh:
+                write(fh)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as e:
+        raise DataError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 def _unreadable(path: Path, e: OSError, what: str, error: type[BmcoopError]) -> BmcoopError:
@@ -75,11 +79,8 @@ def read_text(path: Path, what: str = "file", error: type[BmcoopError] = DataErr
 
 
 def write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` as UTF-8 through ``write_atomic``; a failed write is a ``DataError``."""
-    try:
-        write_atomic(path, lambda fh: fh.write(text.encode("utf-8")))
-    except OSError as e:
-        raise DataError(f"cannot write {path}: {e}") from e
+    """Write ``text`` as UTF-8 through ``write_atomic``."""
+    write_atomic(path, lambda fh: fh.write(text.encode("utf-8")))
 
 
 def _read_table(path: Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
@@ -104,10 +105,6 @@ def load_catalog(path: str | Path) -> ClassCatalog:
     if not entries:
         raise DataError(f"{path}: catalog lists no classes")
     return ClassCatalog(classes=entries)
-
-
-def write_catalog(catalog: ClassCatalog, path: str | Path) -> None:
-    write_text(path, "".join(f"{c.name}\t{c.modality}\n" for c in catalog))
 
 
 # ── manifest ─────────────────────────────────────────────────────────
@@ -197,10 +194,7 @@ def write_embedding_cache(matrix: EmbeddingMatrix, path: str | Path) -> None:
         fh.write(_HEADER.pack(rows, dim))
         values.tofile(fh)
 
-    try:
-        write_atomic(path, write)
-    except OSError as e:
-        raise DataError(f"cannot write embedding cache {path}: {e}") from e
+    write_atomic(path, write)
 
 
 def read_embedding_cache(path: str | Path) -> EmbeddingMatrix:
@@ -215,6 +209,8 @@ def read_embedding_cache(path: str | Path) -> EmbeddingMatrix:
             if len(head) < len(CACHE_MAGIC) + _HEADER.size:
                 raise DataError(f"{path}: truncated header")
             rows, dim = _HEADER.unpack_from(head, len(CACHE_MAGIC))
+            if dim == 0:
+                raise DataError(f"{path}: header declares rows of width 0")
             expected = rows * dim * 4
             found = os.fstat(fh.fileno()).st_size - len(head)
             if found != expected:

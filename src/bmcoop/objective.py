@@ -48,20 +48,11 @@ class LossBreakdown:
     ce: float
     sccm: float
     kdsp: float
-    lambda1: float
-    lambda2: float
     total: float
 
     @classmethod
     def compose(cls, ce: float, sccm: float, kdsp: float, lambda1: float, lambda2: float):
-        return cls(
-            ce=ce, sccm=sccm, kdsp=kdsp,
-            lambda1=lambda1, lambda2=lambda2,
-            total=ce + lambda1 * sccm + lambda2 * kdsp,
-        )
-
-    def log_fields(self) -> tuple[float, float, float, float]:
-        return self.ce, self.sccm, self.kdsp, self.total
+        return cls(ce=ce, sccm=sccm, kdsp=kdsp, total=ce + lambda1 * sccm + lambda2 * kdsp)
 
 
 def _unit_rows(matrix: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -197,23 +188,11 @@ def sccm_loss(text: np.ndarray, ensemble_mean: np.ndarray) -> float:
 
 
 def _kdsp(log_teacher: np.ndarray, log_student: np.ndarray) -> float:
+    """Batch-mean KL(teacher || student); the teacher is a constant."""
     teacher = np.exp(log_teacher)
     terms = np.where(teacher > 0.0, teacher * (log_teacher - log_student), 0.0)
     # clamp away sub-ulp negatives when the distributions coincide
     return max(0.0, float(np.mean(terms.sum(axis=1))))
-
-
-def kdsp_loss(
-    images: np.ndarray,
-    text: np.ndarray,
-    teacher_ensemble: np.ndarray,
-    tau: float,
-) -> float:
-    """Batch-mean KL(teacher || student); the teacher is a constant."""
-    return _kdsp(
-        _log_softmax(cosine_logits(images, teacher_ensemble, tau)),
-        _log_softmax(cosine_logits(images, text, tau)),
-    )
 
 
 def total_loss(

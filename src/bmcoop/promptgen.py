@@ -185,24 +185,3 @@ def fetch_prompts(
         generator={"model": config.model},
     )
 
-
-def validate_bank(bank: PromptBank, catalog: ClassCatalog, n_expected: int | None = None) -> list[str]:
-    """Non-fatal diagnostics: missing classes, duplicates, empties, count drift."""
-    diagnostics: list[str] = []
-    for entry in catalog:
-        if entry.name not in bank.prompts:
-            diagnostics.append(f"missing class: {entry.name}")
-    counts = {len(v) for v in bank.prompts.values()}
-    if len(counts) > 1:
-        diagnostics.append(f"inconsistent prompt counts across classes: {sorted(counts)}")
-    elif n_expected is not None and counts and counts != {n_expected}:
-        diagnostics.append(f"prompt count {counts.pop()} differs from expected {n_expected}")
-    for name, plist in bank.prompts.items():
-        seen: set[str] = set()
-        for p in plist:
-            if not p.strip():
-                diagnostics.append(f"empty prompt in class: {name}")
-            elif p in seen:
-                diagnostics.append(f"duplicate prompt in class {name}: {p[:60]!r}")
-            seen.add(p)
-    return diagnostics

@@ -44,16 +44,6 @@ class FewShotSupportSet:
 
     item_ids: list[str]          # class-major order, K per class
     labels: np.ndarray           # (C*K,) class indices
-    embeddings: np.ndarray | None = None  # (C*K, D) unit rows, attached later
-
-    def with_embeddings(self, embeddings: np.ndarray) -> "FewShotSupportSet":
-        embeddings = np.asarray(embeddings, dtype=np.float64)
-        if embeddings.shape[0] != len(self.item_ids):
-            raise DataError(
-                f"support has {len(self.item_ids)} items but got "
-                f"{embeddings.shape[0]} embedding rows"
-            )
-        return FewShotSupportSet(item_ids=self.item_ids, labels=self.labels, embeddings=embeddings)
 
 
 def sample_few_shot(
@@ -103,10 +93,10 @@ class EpochLog:
     train_acc: float
 
     def line(self) -> str:
-        ce, sccm, kdsp, total = self.breakdown.log_fields()
+        b = self.breakdown
         return (
-            f"{self.epoch}\t{ce:.10g}\t{sccm:.10g}\t{kdsp:.10g}"
-            f"\t{total:.10g}\t{self.train_acc:.10g}"
+            f"{self.epoch}\t{b.ce:.10g}\t{b.sccm:.10g}\t{b.kdsp:.10g}"
+            f"\t{b.total:.10g}\t{self.train_acc:.10g}"
         )
 
 
@@ -142,7 +132,8 @@ def prepare_ensembles(
 
 
 def train_run(
-    support: FewShotSupportSet,
+    images: np.ndarray,
+    labels: np.ndarray,
     class_names: list[str],
     handle: SyntheticTextEncoder,
     config: RunConfig,
@@ -150,15 +141,14 @@ def train_run(
     teacher_ensemble: np.ndarray | None = None,
     state: TrainState | None = None,
 ) -> tuple[TrainState, list[EpochLog]]:
-    """Mini-batch SGD over the shuffled support set for the configured epochs.
+    """Mini-batch SGD over the shuffled support rows ``images`` (N, D), with
+    their class positions ``labels`` (N,), for the configured epochs.
 
     Passing a ``state`` (fresh or loaded from a checkpoint) resumes at
     ``state.epoch``; the returned logs cover only the epochs run here.
     Malformed support rows, labels or teacher rows, and a non-positive
     tau, raise a ``DataError`` before the first step.
     """
-    if support.embeddings is None:
-        raise DataError("support set has no embeddings attached")
     if state is None:
         state = initial_state(handle, config)
     if state.ctx.token_width != handle.token_width:
@@ -167,12 +157,10 @@ def train_run(
             f"handle width {handle.token_width}"
         )
 
-    images = support.embeddings
     v_unit, labels, teacher_unit = prepare_support(
-        images, support.labels, len(class_names), handle.embedding_dim, handle.tau,
-        teacher_ensemble,
+        images, labels, len(class_names), handle.embedding_dim, handle.tau, teacher_ensemble,
     )
-    n = images.shape[0]
+    n = v_unit.shape[0]
     logs: list[EpochLog] = []
 
     for epoch in range(state.epoch, config.epochs):

@@ -7,7 +7,7 @@ order (order of appearance in the catalog file, never re-sorted).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -101,9 +101,6 @@ class DatasetManifest:
     labels: np.ndarray  # (N,) intp positions in the catalog the manifest was read against
     splits: np.ndarray  # (N,) int8 indices into SPLITS
 
-    def __len__(self) -> int:
-        return len(self.item_ids)
-
     def in_split(self, split: str) -> np.ndarray:
         """Boolean mask of the items in ``split``."""
         return self.splits == SPLITS.index(split)
@@ -124,16 +121,28 @@ class PromptBank:
             raise DataError(f"inconsistent prompt counts across classes: {sorted(sizes)}")
         return sizes.pop()
 
-    def validate(self, catalog: ClassCatalog, n_expected: int | None = None) -> None:
+    def validate(self, catalog: ClassCatalog, n_expected: int | None = None) -> list[str]:
+        """Raise on a bank the pipeline cannot use; return one note per repeated prompt.
+
+        A repeated prompt is usable (it only weighs twice in the class
+        ensemble), so it is reported rather than rejected.
+        """
         for entry in catalog:
             if entry.name not in self.prompts:
                 raise DataError(f"prompt bank missing class {entry.name!r}")
         n = self.prompts_per_class()
         if n_expected is not None and n != n_expected:
             raise DataError(f"prompt bank has {n} prompts per class, expected {n_expected}")
+        notes: list[str] = []
         for name, plist in self.prompts.items():
             if any(not p.strip() for p in plist):
                 raise DataError(f"empty prompt string under class {name!r}")
+            seen: set[str] = set()
+            for p in plist:
+                if p in seen:
+                    notes.append(f"duplicate prompt in class {name}: {p[:60]!r}")
+                seen.add(p)
+        return notes
 
 
 @dataclass
@@ -181,10 +190,3 @@ class RunConfig:
             raise ConfigError("epochs must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-
-    def with_overrides(self, **kwargs) -> "RunConfig":
-        known = {f.name for f in fields(self)}
-        for key in kwargs:
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r}")
-        return replace(self, **kwargs)

@@ -23,7 +23,6 @@ from bmcoop.evaluation import harmonic_mean
 from bmcoop.io import EmbeddingMatrix, write_cache_index, write_embedding_cache
 from bmcoop.objective import (
     class_probabilities,
-    kdsp_loss,
     loss_gradient,
     predict,
     prepare_support,
@@ -32,7 +31,7 @@ from bmcoop.objective import (
     teacher_log_probs,
     total_loss,
 )
-from bmcoop.trainer import FewShotSupportSet, prepare_ensembles, train_run
+from bmcoop.trainer import prepare_ensembles, train_run
 from conftest import build_desk_task, build_planted_outlier, per_class_ce_grad
 
 
@@ -146,7 +145,7 @@ def test_criterion_3_oracle_equivalence():
     rng = np.random.default_rng(31)
     trials = 1000
     worst = {k: 0.0 for k in (
-        "class_probabilities", "ce", "sccm_loss", "kdsp_loss",
+        "class_probabilities", "ce", "sccm_loss", "kdsp",
         "mean_ensemble", "prompt_scores", "mad_zscores",
     )}
 
@@ -191,9 +190,10 @@ def test_criterion_3_oracle_equivalence():
             )
             / b
         )
-        worst["kdsp_loss"] = max(
-            worst["kdsp_loss"], abs(kdsp_loss(v, t, ps, tau) - oracle_kl)
-        )
+        kdsp = total_loss(
+            student_scores(v, t, tau), labels, None, teacher_log_probs(v, ps, tau), 0.0, 1.0
+        ).kdsp
+        worst["kdsp"] = max(worst["kdsp"], abs(kdsp - oracle_kl))
 
         banks = [unit_rows(rng, n, d) for _ in range(c)]
         means = mean_ensemble(banks)
@@ -249,10 +249,6 @@ def test_criterion_4_coop_reduction_bit_identical():
     start = time.monotonic()
     task = build_desk_task()
     images, labels = task.sample(16, seed=502)
-    support = FewShotSupportSet(
-        item_ids=[f"i{i}" for i in range(labels.size)],
-        labels=labels, embeddings=images,
-    )
     epochs = 15
 
     # trainer trajectory, snapshotted after every epoch via resume stepping
@@ -260,7 +256,7 @@ def test_criterion_4_coop_reduction_bit_identical():
     state = None
     for k in range(1, epochs + 1):
         state, _ = train_run(
-            support, task.names, task.handle, task.config(epochs=k), state=state
+            images, labels, task.names, task.handle, task.config(epochs=k), state=state
         )
         trainer_snapshots.append(state.ctx.vectors.copy())
 
@@ -336,10 +332,6 @@ def test_criterion_6_desk_scale_learning():
     task = build_desk_task()
     train_images, train_labels = task.sample(16, seed=502)
     held_images, held_labels = task.sample(100, seed=902)
-    support = FewShotSupportSet(
-        item_ids=[f"i{i}" for i in range(train_labels.size)],
-        labels=train_labels, embeddings=train_images,
-    )
 
     def accuracy_of(state, images, labels):
         text, _ = encode_text_with_context(task.handle, state.ctx, task.names)
@@ -348,7 +340,9 @@ def test_criterion_6_desk_scale_learning():
 
     # defaults with both extra losses off
     plain_cfg = task.config()  # lr 0.0025, batch 4, 100 epochs, M=4
-    plain_state, _ = train_run(support, task.names, task.handle, plain_cfg)
+    plain_state, _ = train_run(
+        train_images, train_labels, task.names, task.handle, plain_cfg
+    )
     plain_train = accuracy_of(plain_state, train_images, train_labels)
     plain_held = accuracy_of(plain_state, held_images, held_labels)
 
@@ -357,7 +351,7 @@ def test_criterion_6_desk_scale_learning():
     bank = task.aligned_bank()
     pg, ps, _ = prepare_ensembles(task.names, bank, train_images, full_cfg)
     full_state, _ = train_run(
-        support, task.names, task.handle, full_cfg,
+        train_images, train_labels, task.names, task.handle, full_cfg,
         ensemble_mean=pg, teacher_ensemble=ps,
     )
     full_held = accuracy_of(full_state, held_images, held_labels)

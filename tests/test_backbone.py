@@ -149,21 +149,13 @@ class TestBatchedAgainstPerClass:
         with pytest.raises(DataError, match="'lesion'"):
             encode_text_with_context(handle, ctx, ["cyst", "lesion"])
 
-    def test_name_projection_is_memoised_read_only(self, small_handle):
-        row, n_tokens = small_handle.name_projection("glioma tumor")
-        again, n_again = small_handle.name_projection("glioma tumor")
-        assert n_tokens == n_again == 2
-        assert again is row
-        assert not row.flags.writeable
-        with pytest.raises(ValueError):
-            row[0] = 1.0
-
     def test_name_block_is_memoised_read_only(self, small_handle):
         names = ["glioma tumor", "normal brain", "cyst"]
         rows, counts = small_handle.name_block(names)
         again_rows, again_counts = small_handle.name_block(list(names))
         assert again_rows is rows and again_counts is counts
-        assert np.array_equal(rows, np.stack([small_handle.name_projection(n)[0] for n in names]))
+        oracle = [small_handle.projection @ small_handle.token_vectors(n).sum(0) for n in names]
+        assert np.array_equal(rows, np.stack(oracle))
         assert list(counts) == [2, 2, 1]
         for array in (rows, counts):
             assert not array.flags.writeable
@@ -186,24 +178,41 @@ class TestEncodeTextBank:
             prompts={"benign": ["a hypoechoic nodule"]},
             modalities={"benign": "ultrasound"},
         )
-        out = encode_text_bank(small_handle, bank)
-        assert out["benign"].values.shape == (1, small_handle.embedding_dim)
+        out = encode_text_bank(small_handle, bank, ["benign"])
+        assert out.values.shape == (1, small_handle.embedding_dim)
 
     def test_full_bank_shapes(self, small_handle):
         bank = self.make_bank(50)
-        out = encode_text_bank(small_handle, bank)
-        assert set(out) == {"benign", "malignant"}
-        for matrix in out.values():
-            assert matrix.values.shape == (50, small_handle.embedding_dim)
-            norms = np.linalg.norm(matrix.values, axis=1)
-            assert np.max(np.abs(norms - 1.0)) < 1e-6
+        out = encode_text_bank(small_handle, bank, ["benign", "malignant"])
+        assert out.values.shape == (100, small_handle.embedding_dim)
+        assert out.normalized
+        norms = np.linalg.norm(out.values, axis=1)
+        assert np.max(np.abs(norms - 1.0)) < 1e-6
 
     def test_bit_identical_across_calls(self, small_handle):
         bank = self.make_bank(5)
-        a = encode_text_bank(small_handle, bank)
-        b = encode_text_bank(small_handle, bank)
-        for name in a:
-            assert np.array_equal(a[name].values, b[name].values)
+        a = encode_text_bank(small_handle, bank, list(bank.prompts))
+        b = encode_text_bank(small_handle, bank, list(bank.prompts))
+        assert np.array_equal(a.values, b.values)
+
+    def oracle(self, handle, bank, class_names):
+        """Every prompt of ``class_names`` by the per-prompt formula, class-major."""
+        return np.stack([
+            per_prompt_encode(handle, p) for name in class_names for p in bank.prompts[name]
+        ])
+
+    def test_catalog_order_not_bank_order(self, small_handle):
+        bank = self.make_bank(3)
+        order = ["malignant", "benign"]  # the bank lists benign first
+        out = encode_text_bank(small_handle, bank, order)
+        assert np.max(np.abs(out.values - self.oracle(small_handle, bank, order))) < 1e-12
+
+    def test_classes_outside_the_list_are_not_encoded(self, small_handle):
+        bank = self.make_bank(3)
+        bank.prompts["normal"] = ["unseen words only here", "other fresh words"]
+        out = encode_text_bank(small_handle, bank, ["benign"])
+        assert np.max(np.abs(out.values - self.oracle(small_handle, bank, ["benign"]))) < 1e-12
+        assert "unseen" not in small_handle._token_cache
 
     def random_bank(self, seed):
         """Classes with disjoint vocabularies, one-token prompts, repeated
@@ -223,28 +232,29 @@ class TestEncodeTextBank:
     def test_matches_per_prompt_oracle(self, small_handle):
         for seed in range(20):
             bank = self.random_bank(seed)
-            out = encode_text_bank(small_handle, bank)
-            assert list(out) == list(bank.prompts)
-            for name, prompts in bank.prompts.items():
-                oracle = np.stack([per_prompt_encode(small_handle, p) for p in prompts])
-                assert out[name].values.shape == oracle.shape
-                assert np.max(np.abs(out[name].values - oracle)) < 1e-12
+            names = list(bank.prompts)
+            out = encode_text_bank(small_handle, bank, names)
+            oracle = self.oracle(small_handle, bank, names)
+            assert out.values.shape == oracle.shape
+            assert np.max(np.abs(out.values - oracle)) < 1e-12
 
     def test_float32_rows_equal_oracle(self, small_handle):
         bank = self.make_bank(50)
-        out = encode_text_bank(small_handle, bank)
-        for name, prompts in bank.prompts.items():
-            oracle = np.stack([per_prompt_encode(small_handle, p) for p in prompts])
-            assert np.array_equal(out[name].values.astype(np.float32), oracle.astype(np.float32))
+        names = ["benign", "malignant"]
+        out = encode_text_bank(small_handle, bank, names)
+        oracle = self.oracle(small_handle, bank, names)
+        assert np.array_equal(out.values.astype(np.float32), oracle.astype(np.float32))
 
     def test_empty_prompts_name_class(self, small_handle):
         for prompts, match in (
-            ([], "'cyst' has an empty prompt list"),
+            ([], "class 'cyst' has no prompts"),
             (["a", " "], "empty text under class 'cyst'"),
         ):
             bank = PromptBank(prompts={"benign": ["a b"], "cyst": prompts}, modalities={})
             with pytest.raises(DataError, match=match):
-                encode_text_bank(small_handle, bank)
+                encode_text_bank(small_handle, bank, ["benign", "cyst"])
+        with pytest.raises(DataError, match="class 'lesion' has no prompts"):
+            encode_text_bank(small_handle, bank, ["benign", "lesion"])
 
     def test_zero_embedding_names_prompt(self):
         class VoidEncoder(SyntheticTextEncoder):
@@ -253,7 +263,7 @@ class TestEncodeTextBank:
 
         bank = PromptBank(prompts={"benign": ["a b", "void void"]}, modalities={})
         with pytest.raises(DataError, match="zero embedding for text 'void void'"):
-            encode_text_bank(VoidEncoder(seed=5, embedding_dim=12, token_width=20), bank)
+            encode_text_bank(VoidEncoder(seed=5, embedding_dim=12, token_width=20), bank, ["benign"])
 
 
 class TestVisionEncoder:
@@ -352,6 +362,7 @@ class TestFreezing:
         encode_text_bank(
             small_handle,
             PromptBank(prompts={"x": ["some finding"]}, modalities={"x": "mri"}),
+            ["x"],
         )
         assert small_handle.parameter_digest() == before
 

