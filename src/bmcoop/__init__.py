@@ -25,13 +25,7 @@ from .ensemble import (
     selected_ensemble,
 )
 from .errors import BmcoopError, ConfigError, DataError, NetworkError, NumericError
-from .evaluation import (
-    EvalReport,
-    accuracy,
-    aggregate_seeds,
-    base_novel_split,
-    harmonic_mean,
-)
+from .evaluation import accuracy, base_novel_split, harmonic_mean, write_run_report
 from .io import (
     load_catalog,
     load_manifest,

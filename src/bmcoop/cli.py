@@ -17,6 +17,7 @@ import logging
 import os
 import platform
 import sys
+import threading
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -156,9 +157,11 @@ def parse_config(path: str | Path, overrides: list[str] | None = None) -> Loaded
 
 def _check_llm_settings(timeout, retries) -> None:
     """Reject request settings that would only fail once a request is sent."""
-    # false for NaN, infinities and integers past the float range
-    if not 0 < timeout <= sys.float_info.max:
-        raise ConfigError(f"llm_timeout must be finite and > 0, got {timeout!r}")
+    # false for NaN, infinities and anything a socket timeout cannot hold
+    if not 0 < timeout <= threading.TIMEOUT_MAX:
+        raise ConfigError(
+            f"llm_timeout must be > 0 and at most {threading.TIMEOUT_MAX:.0f} s, got {timeout!r}"
+        )
     if retries < 0 or (isinstance(retries, float) and not retries.is_integer()):
         raise ConfigError(f"llm_max_retries must be a whole number >= 0, got {retries!r}")
 
@@ -358,16 +361,13 @@ def cmd_eval(cfg: LoadedConfig) -> None:
         class_embeds, _ = encode_text_with_context(handle, ctx, catalog.names)
     acc = _accuracy(cosine_logits(images, class_embeds, handle.tau), labels, 0, len(catalog))
 
-    report = evaluation.EvalReport(
-        dataset=cfg.values["dataset_name"],
-        seeds=[cfg.run.seed],
-        accuracies=[acc],
-        extra={"config_digest": cfg.digest, "classifier": cfg.values["eval_classifier"]},
-    )
     out = cfg.out_dir() / "eval_report.json"
-    report.write_json(out)
+    table = evaluation.write_run_report(
+        out, cfg.values["dataset_name"], cfg.run.seed, acc, None, None,
+        {"config_digest": cfg.digest, "classifier": cfg.values["eval_classifier"]},
+    )
     _write_meta(out, cfg, "eval")
-    print(evaluation.render_table([report]), end="")
+    print(table, end="")
     print(f"wrote eval report: {out}")
 
 
@@ -389,28 +389,23 @@ def cmd_base_to_novel(cfg: LoadedConfig) -> None:
     novel_acc = _accuracy(logits, labels, cut, len(catalog))
     overall = _accuracy(logits, labels, 0, len(catalog))
 
-    report = evaluation.EvalReport(
-        dataset=cfg.values["dataset_name"],
-        seeds=[cfg.run.seed],
-        accuracies=[overall],
-        base_acc=base_acc,
-        novel_acc=novel_acc,
-        extra={
+    out = cfg.out_dir()
+    ckpt = out / "checkpoint.ckpt"
+    trainer.save_checkpoint(state, ckpt)
+    trainer.write_training_log(logs, out / "train_log.tsv")
+    report_path = out / "base_to_novel_report.json"
+    table = evaluation.write_run_report(
+        report_path, cfg.values["dataset_name"], cfg.run.seed, overall, base_acc, novel_acc,
+        {
             "config_digest": cfg.digest,
             "base_classes": base_names,
             "novel_classes": novel_names,
             "train_epochs": epochs,
         },
     )
-    out = cfg.out_dir()
-    ckpt = out / "checkpoint.ckpt"
-    trainer.save_checkpoint(state, ckpt)
-    trainer.write_training_log(logs, out / "train_log.tsv")
-    report_path = out / "base_to_novel_report.json"
-    report.write_json(report_path)
     for artifact in (ckpt, report_path):
         _write_meta(artifact, cfg, "base-to-novel")
-    print(evaluation.render_table([report]), end="")
+    print(table, end="")
     print(f"wrote base-to-novel report: {report_path}")
 
 

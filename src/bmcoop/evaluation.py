@@ -1,4 +1,4 @@
-"""Accuracy metrics, base/novel class splitting, and multi-seed aggregation.
+"""Accuracy metrics, base/novel class splitting, and the report of one run.
 
 Accuracies are percentages in [0, 100], reported to two decimals in
 rendered tables. The base/novel split is a declared convention (first
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -58,76 +57,36 @@ def harmonic_mean(base_acc: float, novel_acc: float) -> float:
     return 2.0 * base_acc * novel_acc / (base_acc + novel_acc)
 
 
-def aggregate_seeds(values: list[float]) -> tuple[float, float]:
-    """Mean and sample standard deviation (n-1); a single value has std 0."""
-    if not values:
-        raise DataError("no per-seed values to aggregate")
-    arr = np.asarray(values, dtype=np.float64)
-    mean = float(arr.mean())
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return mean, std
+def write_run_report(
+    path: str | Path,
+    dataset: str,
+    seed: int,
+    acc: float,
+    base_acc: float | None,
+    novel_acc: float | None,
+    extra: dict,
+) -> str:
+    """Write the JSON report of one run; return its one-row text table.
 
-
-@dataclass
-class EvalReport:
-    """Per-dataset accuracies with optional base/novel breakdown."""
-
-    dataset: str
-    seeds: list[int]
-    accuracies: list[float]
-    base_acc: float | None = None
-    novel_acc: float | None = None
-    extra: dict = field(default_factory=dict)  # config digest, split rule, ...
-
-    def __post_init__(self):
-        if len(self.seeds) != len(self.accuracies):
-            raise DataError(
-                f"{len(self.seeds)} seeds but {len(self.accuracies)} accuracies"
-            )
-
-    @property
-    def mean(self) -> float:
-        return aggregate_seeds(self.accuracies)[0]
-
-    @property
-    def std(self) -> float:
-        return aggregate_seeds(self.accuracies)[1]
-
-    @property
-    def hm(self) -> float | None:
-        if self.base_acc is None or self.novel_acc is None:
-            return None
-        return harmonic_mean(self.base_acc, self.novel_acc)
-
-    def to_dict(self) -> dict:
-        doc = {
-            "dataset": self.dataset,
-            "seeds": self.seeds,
-            "accuracies": self.accuracies,
-            "mean": self.mean,
-            "std": self.std,
-            "base": self.base_acc,
-            "novel": self.novel_acc,
-            "hm": self.hm,
-            "split_rule": SPLIT_RULE,
-        }
-        doc.update(self.extra)
-        return doc
-
-    def write_json(self, path: str | Path) -> None:
-        write_text(path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-
-
-def render_table(reports: list[EvalReport]) -> str:
-    """Fixed-width text table: one dataset per row, mean +/- std and base/novel/HM."""
+    ``seeds`` and ``accuracies`` hold the run's one seed and accuracy (so
+    ``mean`` is the accuracy and ``std`` 0), which lets reports of several
+    runs be pooled outside the package. ``hm`` is set when both halves are.
+    """
+    hm = None if base_acc is None or novel_acc is None else harmonic_mean(base_acc, novel_acc)
+    doc = {
+        "dataset": dataset,
+        "seeds": [seed],
+        "accuracies": [acc],
+        "mean": acc,
+        "std": 0.0,
+        "base": base_acc,
+        "novel": novel_acc,
+        "hm": hm,
+        "split_rule": SPLIT_RULE,
+        **extra,
+    }
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    cells = ("-" if v is None else f"{v:.2f}" for v in (base_acc, novel_acc, hm))
     header = f"{'dataset':<16} {'seeds':>5} {'mean':>7} {'std':>6} {'base':>7} {'novel':>7} {'HM':>7}"
-    lines = [header, "-" * len(header)]
-    for r in reports:
-        base = f"{r.base_acc:.2f}" if r.base_acc is not None else "-"
-        novel = f"{r.novel_acc:.2f}" if r.novel_acc is not None else "-"
-        hm = f"{r.hm:.2f}" if r.hm is not None else "-"
-        lines.append(
-            f"{r.dataset:<16} {len(r.seeds):>5} {r.mean:>7.2f} {r.std:>6.2f} "
-            f"{base:>7} {novel:>7} {hm:>7}"
-        )
-    return "\n".join(lines) + "\n"
+    row = f"{dataset:<16} {1:>5} {acc:>7.2f} {0.0:>6.2f} " + " ".join(f"{c:>7}" for c in cells)
+    return "\n".join([header, "-" * len(header), row]) + "\n"

@@ -115,26 +115,25 @@ class PromptBank:
     query_template: str = ""
     generator: dict = field(default_factory=dict)  # model name, timestamp, ...
 
-    def prompts_per_class(self) -> int:
-        sizes = {len(v) for v in self.prompts.values()}
-        if len(sizes) != 1:
-            raise DataError(f"inconsistent prompt counts across classes: {sorted(sizes)}")
-        return sizes.pop()
-
     def validate(self, catalog: ClassCatalog, n_expected: int | None = None) -> list[str]:
         """Raise on a bank the pipeline cannot use; return one note per repeated prompt.
 
-        A repeated prompt is usable (it only weighs twice in the class
-        ensemble), so it is reported rather than rejected.
+        Only the catalog's classes are checked, since no other class is
+        encoded. A repeated prompt is usable (it only weighs twice in the
+        class ensemble), so it is reported rather than rejected.
         """
         for entry in catalog:
             if entry.name not in self.prompts:
                 raise DataError(f"prompt bank missing class {entry.name!r}")
-        n = self.prompts_per_class()
+        sizes = {len(self.prompts[name]) for name in catalog.names}
+        if len(sizes) != 1:
+            raise DataError(f"inconsistent prompt counts across classes: {sorted(sizes)}")
+        n = sizes.pop()
         if n_expected is not None and n != n_expected:
             raise DataError(f"prompt bank has {n} prompts per class, expected {n_expected}")
         notes: list[str] = []
-        for name, plist in self.prompts.items():
+        for name in catalog.names:
+            plist = self.prompts[name]
             if any(not p.strip() for p in plist):
                 raise DataError(f"empty prompt string under class {name!r}")
             seen: set[str] = set()

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bmcoop import cli
 from bmcoop.backbone import SyntheticTextEncoder, encode_text_with_context
 from bmcoop.cli import _eval_split, _load_inputs, parse_config, run
 from bmcoop.ensemble import mean_ensemble
@@ -296,6 +297,14 @@ class TestBaseToNovel:
         assert doc["novel_classes"] == ["normal brain"]
         assert doc["train_epochs"] == 5  # explicit epochs in config wins
 
+    def test_zero_halves_fail_after_checkpoint_and_log(self, toy_dataset, capsys, monkeypatch):
+        tmp_path, config, config_path = toy_dataset
+        monkeypatch.setattr(cli, "_accuracy", lambda logits, labels, first, stop: 0.0)
+        assert run("base-to-novel", str(config_path)) == 3
+        assert "harmonic mean undefined when both accuracies are zero" in capsys.readouterr().err
+        written = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert written == ["checkpoint.ckpt", "train_log.tsv"]
+
     def test_default_epochs_when_not_explicit(self, toy_dataset):
         tmp_path, config, config_path = toy_dataset
         doc = dict(config)
@@ -392,6 +401,26 @@ class TestEncodeCommands:
         # row 0 is the first benign prompt (catalog order, not bank order)
         expected = per_prompt_encode(handle, "benign case 0").astype(np.float32)
         assert np.array_equal(out.values[0], expected)
+
+    def test_encode_bank_ignores_classes_outside_the_catalog(self, tmp_path):
+        (tmp_path / "catalog.tsv").write_text("lesion\tMRI\n")
+        lesion = ["a bright lesion", "a dark lesion"]
+        caches = []
+        for name, prompts in (("catalog-only", {"lesion": lesion}),
+                              ("with-extra", {"lesion": lesion, "extra": ["an extra class"]})):
+            bank = PromptBank(prompts=prompts, modalities={c: "MRI" for c in prompts})
+            write_prompt_bank(bank, tmp_path / f"{name}.json")
+            config_path = tmp_path / f"{name}.c.json"
+            config_path.write_text(json.dumps({
+                "catalog": str(tmp_path / "catalog.tsv"),
+                "bank": str(tmp_path / f"{name}.json"),
+                "bank_cache": str(tmp_path / f"{name}.emb"),
+                "embedding_dim": 16,
+                "token_width": 24,
+            }))
+            assert run("encode-bank", str(config_path)) == 0, name
+            caches.append((tmp_path / f"{name}.emb").read_bytes())
+        assert caches[0] == caches[1]
 
 
 class TestSelectCommand:
@@ -550,8 +579,10 @@ class TestExitCodes:
         ("llm_max_retries", -1), ("llm_max_retries", 2.5), ("llm_max_retries", float("nan")),
         ("llm_timeout", -1), ("llm_timeout", 0), ("llm_timeout", float("inf")),
         ("llm_timeout", float("nan")), ("llm_timeout", 10**400),
+        ("llm_timeout", 1e10), ("llm_timeout", 1e300),
     ], ids=["retries-negative", "retries-fraction", "retries-nan", "timeout-negative",
-            "timeout-zero", "timeout-inf", "timeout-nan", "timeout-past-float-range"])
+            "timeout-zero", "timeout-inf", "timeout-nan", "timeout-past-float-range",
+            "timeout-past-socket-limit", "timeout-huge-finite"])
     def test_bad_llm_settings_are_2(self, tmp_path, capsys, monkeypatch, key, value):
         monkeypatch.delenv("BMCOOP_API_KEY", raising=False)
         (tmp_path / "catalog.tsv").write_text("lesion\tMRI\n")

@@ -1,4 +1,4 @@
-"""Accuracy, base/novel splitting, harmonic means, seed aggregation."""
+"""Accuracy, base/novel splitting, harmonic means, the report of one run."""
 
 import json
 import os
@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 
 from bmcoop.errors import DataError
 from bmcoop.evaluation import (
-    EvalReport,
+    SPLIT_RULE,
     accuracy,
-    aggregate_seeds,
     base_novel_split,
     harmonic_mean,
-    render_table,
+    write_run_report,
 )
 from bmcoop.types import ClassCatalog, ClassEntry
 
@@ -103,41 +102,56 @@ class TestHarmonicMean:
         assert hm == pytest.approx(harmonic_mean(n, b), rel=1e-12)
 
 
-class TestAggregateSeeds:
-    def test_constant_values(self):
-        assert aggregate_seeds([70.0, 70.0, 70.0]) == (70.0, 0.0)
-
-    def test_sample_std(self):
-        mean, std = aggregate_seeds([68.0, 70.0, 72.0])
-        assert mean == 70.0
-        assert std == pytest.approx(2.0)  # sqrt(((-2)^2 + 0 + 2^2) / 2)
-
-    def test_single_seed(self):
-        assert aggregate_seeds([55.5]) == (55.5, 0.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            aggregate_seeds([])
-
-
 class TestEvalReport:
-    def test_json_fields(self, tmp_path):
-        report = EvalReport(
-            dataset="toy", seeds=[1, 2, 3], accuracies=[68.0, 70.0, 72.0],
-            base_acc=80.0, novel_acc=60.0,
-        )
+    """The report of one run, as ``write_run_report`` writes it."""
+
+    def test_hm_absent_without_split(self, tmp_path):
         path = tmp_path / "report.json"
-        report.write_json(path)
-        doc = json.loads(path.read_text())
-        assert doc["dataset"] == "toy"
-        assert doc["mean"] == 70.0
-        assert doc["std"] == pytest.approx(2.0)
-        assert doc["hm"] == pytest.approx(harmonic_mean(80.0, 60.0))
-        assert "split_rule" in doc
+        write_run_report(path, "toy", 3, 62.5, None, None, {"classifier": "context"})
+        assert json.loads(path.read_text()) == {
+            "dataset": "toy",
+            "seeds": [3],
+            "accuracies": [62.5],
+            "mean": 62.5,
+            "std": 0.0,
+            "base": None,
+            "novel": None,
+            "hm": None,
+            "split_rule": SPLIT_RULE,
+            "classifier": "context",
+        }
+
+    def test_json_fields(self, tmp_path):
+        path = tmp_path / "report.json"
+        extra = {"base_classes": ["a"], "novel_classes": ["b"], "train_epochs": 5}
+        write_run_report(path, "toy", 1, 70.0, 80.0, 60.0, extra)
+        assert json.loads(path.read_text()) == {
+            "dataset": "toy",
+            "seeds": [1],
+            "accuracies": [70.0],
+            "mean": 70.0,
+            "std": 0.0,
+            "base": 80.0,
+            "novel": 60.0,
+            "hm": harmonic_mean(80.0, 60.0),
+            "split_rule": SPLIT_RULE,
+            "base_classes": ["a"],
+            "novel_classes": ["b"],
+            "train_epochs": 5,
+        }
+        # sorted keys, two-space indent, one trailing newline
+        assert path.read_text().startswith('{\n  "accuracies": [\n    70.0\n  ],\n')
+        assert path.read_text().endswith('"train_epochs": 5\n}\n')
+
+    def test_zero_halves_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(DataError, match="both accuracies are zero"):
+            write_run_report(path, "toy", 1, 0.0, 0.0, 0.0, {})
+        assert not path.exists()
 
     def test_failed_write_keeps_previous_report(self, tmp_path, monkeypatch):
         path = tmp_path / "report.json"
-        EvalReport(dataset="toy", seeds=[1], accuracies=[50.0]).write_json(path)
+        write_run_report(path, "toy", 1, 50.0, None, None, {})
         before = path.read_bytes()
 
         def refuse(src, dst):
@@ -145,21 +159,18 @@ class TestEvalReport:
 
         monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(DataError, match="rename refused"):
-            EvalReport(dataset="toy", seeds=[2], accuracies=[75.0]).write_json(path)
+            write_run_report(path, "toy", 2, 75.0, None, None, {})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
-    def test_hm_absent_without_split(self):
-        report = EvalReport(dataset="toy", seeds=[1], accuracies=[50.0])
-        assert report.hm is None
-
-    def test_render_table(self):
-        reports = [
-            EvalReport(dataset="alpha", seeds=[1, 2], accuracies=[60.0, 62.0]),
-            EvalReport(dataset="beta", seeds=[1], accuracies=[70.0], base_acc=75.0, novel_acc=65.0),
-        ]
-        table = render_table(reports)
-        lines = table.splitlines()
-        assert len(lines) == 4
-        assert "alpha" in lines[2] and "61.00" in lines[2]
-        assert "beta" in lines[3] and "69.64" in lines[3]  # HM of 75/65
+    def test_one_row_table(self, tmp_path):
+        eval_table = write_run_report(tmp_path / "e.json", "alpha", 1, 61.0, None, None, {})
+        b2n_table = write_run_report(tmp_path / "b.json", "beta", 2, 70.0, 75.0, 65.0, {})
+        header = "dataset          seeds    mean    std    base   novel      HM"
+        assert eval_table == (
+            f"{header}\n{'-' * len(header)}\n"
+            "alpha                1   61.00   0.00       -       -       -\n"
+        )
+        assert b2n_table.splitlines()[2] == (
+            "beta                 1   70.00   0.00   75.00   65.00   69.64"  # HM of 75/65
+        )

@@ -312,6 +312,11 @@ class TestPromptBank:
         with pytest.raises(DataError, match=r"inconsistent prompt counts across classes: \[2, 3\]"):
             bank.validate(make_catalog("benign", "malignant"))
 
+    def test_validate_ignores_classes_outside_the_catalog(self):
+        bank = self.make_bank()
+        bank.prompts["extra"] = ["", "same", "same"]
+        assert bank.validate(make_catalog("benign", "malignant"), n_expected=2) == []
+
     def test_validate_notes_each_repeated_prompt(self):
         bank = self.make_bank()
         bank.prompts["benign"] = ["same", "same", "other", "same"]
