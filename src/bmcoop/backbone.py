@@ -31,7 +31,8 @@ so ``T Pᵀ`` is projected once and each class costs one (N, V)·(V, D) GEMM.
 Only the context rows ever receive gradients; token vectors and the
 projection are frozen at construction. The synthetic vision encoder is a
 fixed random affine map followed by L2 normalization; a cache-backed
-source serves embeddings exported from a real backbone.
+source serves embeddings exported from a real backbone. Every encoder
+returns a plain float64 array of rows made unit by ``types.normalize_rows``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .types import EmbeddingMatrix, PromptBank, check_finite
+from .types import EmbeddingMatrix, PromptBank, check_finite, normalize_rows
 
 # Standard deviation of the seeded Gaussian token vectors.
 TOKEN_SIGMA = 0.25
@@ -212,12 +213,8 @@ def encode_text_with_context(
     name_rows, name_tokens = handle.name_block(class_names)
     seq_len = ctx.length + name_tokens
     ctx_raw = handle.projection @ ctx.vectors.sum(axis=0)
-    raw = (ctx_raw + name_rows) / seq_len[:, None]
-    norms = np.linalg.norm(raw, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DataError(f"degenerate zero embedding for class {class_names[zero[0]]!r}")
-    unit = raw / norms[:, None]
+    unit = (ctx_raw + name_rows) / seq_len[:, None]
+    norms = normalize_rows(unit, "class embeddings", class_names)
     tape = TextGradTape(
         projection=handle.projection,
         unit=unit,
@@ -230,9 +227,9 @@ def encode_text_with_context(
 
 def encode_text_bank(
     handle: SyntheticTextEncoder, bank: PromptBank, class_names: list[str]
-) -> EmbeddingMatrix:
-    """Encode every prompt of the classes ``class_names``: frozen unit-norm
-    rows, class-major in the order of ``class_names``.
+) -> np.ndarray:
+    """Encode every prompt of the classes ``class_names``: a float64 array of
+    frozen unit rows, class-major in the order of ``class_names``.
 
     One projected token table for those classes, one count-block GEMM per
     class (module docstring). Bank classes not in ``class_names`` are not
@@ -268,14 +265,9 @@ def encode_text_bank(
         raw = out[start : start + len(rows)]
         np.matmul(counts.reshape(len(rows), vocab), projected, out=raw)
         raw /= lengths[:, None]
-        norms = np.linalg.norm(raw, axis=1)
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            text = bank.prompts[name][zero[0]]
-            raise DataError(f"degenerate zero embedding for text {text!r}")
-        raw /= norms[:, None]
+        normalize_rows(raw, f"prompt embeddings of class {name!r}", bank.prompts[name])
         start += len(rows)
-    return EmbeddingMatrix(values=out, normalized=True)
+    return out
 
 
 class SyntheticVisionEncoder:
@@ -293,7 +285,8 @@ class SyntheticVisionEncoder:
         self.projection.setflags(write=False)
         self.bias.setflags(write=False)
 
-    def encode(self, features: np.ndarray) -> EmbeddingMatrix:
+    def encode(self, features: np.ndarray) -> np.ndarray:
+        """(B, D) float64 unit rows, one per feature row."""
         feats = np.asarray(features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[1] != self.feature_dim:
             raise DataError(
@@ -302,11 +295,8 @@ class SyntheticVisionEncoder:
         check_finite(feats, "image features")
         raw = feats @ self.projection.T
         raw += self.bias
-        norms = np.linalg.norm(raw, axis=1, keepdims=True)
-        if np.any(norms == 0.0):
-            raise DataError("a feature row mapped to the zero vector and cannot be normalized")
-        raw /= norms
-        return EmbeddingMatrix(values=raw, normalized=True)
+        normalize_rows(raw, "image embeddings")
+        return raw
 
 
 def check_index_rows(index: dict[str, int], row_count: int) -> None:
@@ -326,7 +316,8 @@ class CachedVisionSource:
     def __post_init__(self):
         check_index_rows(self.index, self.matrix.row_count)
 
-    def encode(self, item_ids: list[str]) -> EmbeddingMatrix:
+    def encode(self, item_ids: list[str]) -> np.ndarray:
+        """(B, D) float64 unit rows of ``item_ids``, in request order."""
         try:
             rows = [self.index[item_id] for item_id in item_ids]
         except KeyError as e:
@@ -334,8 +325,5 @@ class CachedVisionSource:
                 f"item id {e.args[0]!r} not present in the embedding cache index"
             ) from None
         raw = self.matrix.values[np.asarray(rows, dtype=np.intp)].astype(np.float64)
-        norms = np.linalg.norm(raw, axis=1, keepdims=True)
-        if np.any(norms == 0.0):
-            raise DataError("cached embedding row has zero norm")
-        raw /= norms
-        return EmbeddingMatrix(values=raw, normalized=True)
+        normalize_rows(raw, "cached image embeddings", item_ids)
+        return raw

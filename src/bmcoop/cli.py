@@ -36,7 +36,7 @@ from .backbone import (
 from .ensemble import mean_ensemble, write_score_report
 from .errors import BmcoopError, ConfigError, DataError, NumericError
 from .objective import cosine_logits, predict
-from .types import SPLITS, ClassCatalog, RunConfig
+from .types import SPLITS, ClassCatalog, EmbeddingMatrix, RunConfig
 
 log = logging.getLogger("bmcoop.cli")
 
@@ -216,7 +216,7 @@ def _bank_embeddings(cfg: LoadedConfig, catalog: ClassCatalog) -> np.ndarray:
 def _eval_split(cfg: LoadedConfig, manifest, source):
     """Image rows of the eval split, in manifest order, and their catalog positions."""
     rows = np.flatnonzero(manifest.in_split(cfg.values["eval_split"]))
-    images = source.encode([manifest.item_ids[i] for i in rows]).values
+    images = source.encode([manifest.item_ids[i] for i in rows])
     return images, manifest.labels[rows]
 
 
@@ -265,7 +265,7 @@ def cmd_encode_bank(cfg: LoadedConfig) -> None:
     bank = io.load_prompt_bank(cfg.path("bank", required=True))
     for note in bank.validate(catalog):
         log.warning("bank diagnostic: %s", note)
-    embeds = encode_text_bank(_text_handle(cfg), bank, catalog.names)
+    embeds = EmbeddingMatrix(values=encode_text_bank(_text_handle(cfg), bank, catalog.names))
     out = cfg.path("bank_cache", required=True)
     io.write_embedding_cache(embeds, out)
     _write_meta(out, cfg, "encode-bank")
@@ -282,7 +282,7 @@ def cmd_encode_images(cfg: LoadedConfig) -> None:
         feature_dim=features.dim,
         embedding_dim=run.embedding_dim,
     )
-    embedded = encoder.encode(features.values)
+    embedded = EmbeddingMatrix(values=encoder.encode(features.values))
     out_cache = cfg.path("image_cache", required=True)
     out_index = cfg.path("image_index", required=True)
     io.write_embedding_cache(embedded, out_cache)
@@ -295,7 +295,7 @@ def cmd_select(cfg: LoadedConfig) -> None:
     catalog, manifest, source = _load_inputs(cfg)
     bank_embeds = _bank_embeddings(cfg, catalog)
     support = trainer.sample_few_shot(manifest, catalog, cfg.run.shots, cfg.run.seed)
-    images = source.encode(support.item_ids).values
+    images = source.encode(support.item_ids)
     _, _, reports = trainer.prepare_ensembles(
         catalog.names, bank_embeds, images, cfg.run
     )
@@ -319,7 +319,7 @@ def _train_common(cfg, catalog, manifest, source, handle, keep: slice, epochs: i
     class_names = catalog.names[keep]
 
     support = trainer.sample_few_shot(manifest, catalog, run.shots, run.seed, keep)
-    images = source.encode(support.item_ids).values
+    images = source.encode(support.item_ids)
 
     ensemble_mean_arr = teacher = None
     if run.lambda1 != 0.0 or run.lambda2 != 0.0:
@@ -391,8 +391,9 @@ def cmd_base_to_novel(cfg: LoadedConfig) -> None:
 
     out = cfg.out_dir()
     ckpt = out / "checkpoint.ckpt"
+    log_path = out / "train_log.tsv"
     trainer.save_checkpoint(state, ckpt)
-    trainer.write_training_log(logs, out / "train_log.tsv")
+    trainer.write_training_log(logs, log_path)
     report_path = out / "base_to_novel_report.json"
     table = evaluation.write_run_report(
         report_path, cfg.values["dataset_name"], cfg.run.seed, overall, base_acc, novel_acc,
@@ -403,7 +404,7 @@ def cmd_base_to_novel(cfg: LoadedConfig) -> None:
             "train_epochs": epochs,
         },
     )
-    for artifact in (ckpt, report_path):
+    for artifact in (ckpt, log_path, report_path):
         _write_meta(artifact, cfg, "base-to-novel")
     print(table, end="")
     print(f"wrote base-to-novel report: {report_path}")

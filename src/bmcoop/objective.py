@@ -41,6 +41,7 @@ import numpy as np
 
 from .backbone import ContextVectors, SyntheticTextEncoder, encode_text_with_context
 from .errors import DataError
+from .types import normalize_rows
 
 
 @dataclass
@@ -56,12 +57,11 @@ class LossBreakdown:
 
 
 def _unit_rows(matrix: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize rows, rejecting zero-norm rows (cosine undefined)."""
+    """Unit-row float64 copy of ``matrix`` and the row norms."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    norms = np.linalg.norm(matrix, axis=1)
-    if np.any(norms == 0.0):
-        raise DataError(f"zero-norm row in {what}: cosine similarity undefined")
-    return matrix / norms[:, None], norms
+    # written only by the division, so the copy is not resident while the norms are taken
+    unit = np.empty_like(matrix)
+    return unit, normalize_rows(matrix, what, out=unit)
 
 
 def _check_tau(tau: float) -> None:

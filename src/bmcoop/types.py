@@ -16,21 +16,35 @@ from .errors import ConfigError, DataError
 
 SPLITS = ("train", "val", "test")
 
-# Unit-norm tolerance for freshly encoded float64 embeddings.
-NORM_TOL = 1e-6
-
 
 def check_finite(values: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(values)):
         raise DataError(f"{what} contains non-finite values")
 
 
+def normalize_rows(
+    rows: np.ndarray, what: str, names: list[str] | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Divide each row of the float64 array ``rows`` by its L2 norm, in place
+    or into ``out``, and return the norms.
+
+    A zero row has no direction (its cosine is undefined), so it is a
+    ``DataError`` naming the row: ``names[i]`` when given, else its index.
+    """
+    norms = np.linalg.norm(rows, axis=1)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        row = zero[0] if names is None else repr(names[zero[0]])
+        raise DataError(f"zero-norm row {row} in {what}: cosine similarity undefined")
+    np.divide(rows, norms[:, None], out=rows if out is None else out)
+    return norms
+
+
 @dataclass
 class EmbeddingMatrix:
-    """A stack of same-length embedding rows."""
+    """A finite 2-D stack of rows: the in-memory form of an embedding cache file."""
 
     values: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
@@ -39,15 +53,6 @@ class EmbeddingMatrix:
                 f"embedding matrix must be 2-D, got shape {self.values.shape}"
             )
         check_finite(self.values, "embedding matrix")
-        if self.normalized and self.values.shape[0] > 0:
-            v = np.asarray(self.values, dtype=np.float64)
-            norms = np.sqrt(np.einsum("ij,ij->i", v, v))
-            bad = np.abs(norms - 1.0) > NORM_TOL
-            if np.any(bad):
-                raise DataError(
-                    f"{int(bad.sum())} rows flagged normalized deviate from "
-                    f"unit L2 norm by more than {NORM_TOL}"
-                )
 
     @property
     def row_count(self) -> int:

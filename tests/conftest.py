@@ -19,6 +19,12 @@ DESK_DATA_SEED = 102
 DESK_MIX = 0.6  # cross-class mixing: degrades zero-shot margins, keeps the task solvable
 
 
+def unit_rows(rng, n: int, d: int) -> np.ndarray:
+    """``n`` random unit rows of width ``d``."""
+    rows = rng.standard_normal((n, d))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
 @dataclass
 class DeskTask:
     """3-class separable task with mutually orthogonal class centroids."""

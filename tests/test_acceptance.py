@@ -32,7 +32,7 @@ from bmcoop.objective import (
     total_loss,
 )
 from bmcoop.trainer import prepare_ensembles, train_run
-from conftest import build_desk_task, build_planted_outlier, per_class_ce_grad
+from conftest import build_desk_task, build_planted_outlier, per_class_ce_grad, unit_rows
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -40,11 +40,6 @@ def report(criterion: str, ok: bool, detail: str = ""):
     suffix = f" ({detail})" if detail else ""
     print(f"[ACCEPTANCE] {criterion}: {status}{suffix}")
     assert ok, f"{criterion}{suffix}"
-
-
-def unit_rows(rng, n, d):
-    rows = rng.standard_normal((n, d))
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 # Published base/novel accuracy pairs with their printed harmonic means:

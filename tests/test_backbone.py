@@ -179,21 +179,20 @@ class TestEncodeTextBank:
             modalities={"benign": "ultrasound"},
         )
         out = encode_text_bank(small_handle, bank, ["benign"])
-        assert out.values.shape == (1, small_handle.embedding_dim)
+        assert out.shape == (1, small_handle.embedding_dim)
 
     def test_full_bank_shapes(self, small_handle):
         bank = self.make_bank(50)
         out = encode_text_bank(small_handle, bank, ["benign", "malignant"])
-        assert out.values.shape == (100, small_handle.embedding_dim)
-        assert out.normalized
-        norms = np.linalg.norm(out.values, axis=1)
+        assert out.shape == (100, small_handle.embedding_dim)
+        norms = np.linalg.norm(out, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-6
 
     def test_bit_identical_across_calls(self, small_handle):
         bank = self.make_bank(5)
         a = encode_text_bank(small_handle, bank, list(bank.prompts))
         b = encode_text_bank(small_handle, bank, list(bank.prompts))
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def oracle(self, handle, bank, class_names):
         """Every prompt of ``class_names`` by the per-prompt formula, class-major."""
@@ -205,13 +204,13 @@ class TestEncodeTextBank:
         bank = self.make_bank(3)
         order = ["malignant", "benign"]  # the bank lists benign first
         out = encode_text_bank(small_handle, bank, order)
-        assert np.max(np.abs(out.values - self.oracle(small_handle, bank, order))) < 1e-12
+        assert np.max(np.abs(out - self.oracle(small_handle, bank, order))) < 1e-12
 
     def test_classes_outside_the_list_are_not_encoded(self, small_handle):
         bank = self.make_bank(3)
         bank.prompts["normal"] = ["unseen words only here", "other fresh words"]
         out = encode_text_bank(small_handle, bank, ["benign"])
-        assert np.max(np.abs(out.values - self.oracle(small_handle, bank, ["benign"]))) < 1e-12
+        assert np.max(np.abs(out - self.oracle(small_handle, bank, ["benign"]))) < 1e-12
         assert "unseen" not in small_handle._token_cache
 
     def random_bank(self, seed):
@@ -235,15 +234,15 @@ class TestEncodeTextBank:
             names = list(bank.prompts)
             out = encode_text_bank(small_handle, bank, names)
             oracle = self.oracle(small_handle, bank, names)
-            assert out.values.shape == oracle.shape
-            assert np.max(np.abs(out.values - oracle)) < 1e-12
+            assert out.shape == oracle.shape
+            assert np.max(np.abs(out - oracle)) < 1e-12
 
     def test_float32_rows_equal_oracle(self, small_handle):
         bank = self.make_bank(50)
         names = ["benign", "malignant"]
         out = encode_text_bank(small_handle, bank, names)
         oracle = self.oracle(small_handle, bank, names)
-        assert np.array_equal(out.values.astype(np.float32), oracle.astype(np.float32))
+        assert np.array_equal(out.astype(np.float32), oracle.astype(np.float32))
 
     def test_empty_prompts_name_class(self, small_handle):
         for prompts, match in (
@@ -262,7 +261,7 @@ class TestEncodeTextBank:
                 return np.zeros(self.token_width) if token == "void" else super().token_vector(token)
 
         bank = PromptBank(prompts={"benign": ["a b", "void void"]}, modalities={})
-        with pytest.raises(DataError, match="zero embedding for text 'void void'"):
+        with pytest.raises(DataError, match="zero-norm row 'void void'"):
             encode_text_bank(VoidEncoder(seed=5, embedding_dim=12, token_width=20), bank, ["benign"])
 
 
@@ -271,7 +270,7 @@ class TestVisionEncoder:
         enc = SyntheticVisionEncoder(seed=4, feature_dim=6, embedding_dim=10)
         out = enc.encode(np.zeros((1, 6)))
         expected = enc.bias / np.linalg.norm(enc.bias)
-        assert np.allclose(out.values[0], expected)
+        assert np.allclose(out[0], expected)
 
     def test_matches_affine_oracle(self):
         enc = SyntheticVisionEncoder(seed=4, feature_dim=6, embedding_dim=10)
@@ -279,14 +278,14 @@ class TestVisionEncoder:
         # matrix-multiply oracle: normalize(P @ x + b)
         raw = enc.projection @ x[0] + enc.bias
         oracle = raw / np.linalg.norm(raw)
-        assert np.allclose(enc.encode(x).values[0], oracle)
+        assert np.allclose(enc.encode(x)[0], oracle)
 
     def test_bits_match_out_of_place_formula(self):
         enc = SyntheticVisionEncoder(seed=7, feature_dim=12, embedding_dim=20)
         x = np.random.default_rng(3).standard_normal((50, 12)) * 4.0
         raw = x @ enc.projection.T + enc.bias
         expected = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        assert np.array_equal(enc.encode(x).values, expected)
+        assert np.array_equal(enc.encode(x), expected)
 
     def test_zero_rejected(self):
         # a 1-d map, so that P @ (pinv(P) @ -b) cancels the bias exactly
@@ -298,7 +297,7 @@ class TestVisionEncoder:
     def test_unit_norm_rows(self):
         enc = SyntheticVisionEncoder(seed=4, feature_dim=6, embedding_dim=10)
         out = enc.encode(np.random.default_rng(2).standard_normal((8, 6)))
-        assert np.max(np.abs(np.linalg.norm(out.values, axis=1) - 1.0)) < 1e-6
+        assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) < 1e-6
 
     def test_wrong_feature_dim_rejected(self):
         enc = SyntheticVisionEncoder(seed=4, feature_dim=6, embedding_dim=10)
@@ -318,13 +317,13 @@ class TestCachedVisionSource:
     def test_selection_in_request_order(self):
         source = self.make_source()
         out = source.encode(["img3", "img0", "img4"])
-        assert out.values.shape == (3, 8)
+        assert out.shape == (3, 8)
         ref = source.encode(["img3"])
-        assert np.array_equal(out.values[0], ref.values[0])
+        assert np.array_equal(out[0], ref[0])
 
     def test_no_ids_give_an_empty_matrix(self):
         out = self.make_source().encode([])
-        assert out.values.shape == (0, 8)
+        assert out.shape == (0, 8)
 
     def test_missing_id_named(self):
         source = self.make_source()
@@ -334,7 +333,7 @@ class TestCachedVisionSource:
     def test_rows_are_renormalized(self):
         source = self.make_source()
         out = source.encode([f"img{i}" for i in range(5)])
-        assert np.max(np.abs(np.linalg.norm(out.values, axis=1) - 1.0)) < 1e-12
+        assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) < 1e-12
 
     def test_bits_match_out_of_place_formula(self):
         values = np.random.default_rng(5).standard_normal((40, 8)).astype(np.float32) * 3.0
@@ -344,7 +343,7 @@ class TestCachedVisionSource:
         order = np.random.default_rng(6).permutation(40)[:25]
         rows = values[order].astype(np.float64)
         expected = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-        assert np.array_equal(source.encode([f"img{i}" for i in order]).values, expected)
+        assert np.array_equal(source.encode([f"img{i}" for i in order]), expected)
 
     def test_index_outside_matrix_rejected(self):
         with pytest.raises(DataError, match="outside"):

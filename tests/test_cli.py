@@ -275,7 +275,7 @@ class TestTrainEval:
         test = [(item, name) for item, name, split in records if split == "test"]
         assert labels.dtype == np.intp
         assert list(labels) == [catalog.names.index(name) for _, name in test]
-        assert np.array_equal(images, source.encode([item for item, _ in test]).values)
+        assert np.array_equal(images, source.encode([item for item, _ in test]))
 
     def test_eval_report_is_deterministic(self, toy_dataset):
         tmp_path, config, config_path = toy_dataset
@@ -296,6 +296,9 @@ class TestBaseToNovel:
         assert doc["base_classes"] == ["glioma tumor", "meningioma tumor"]
         assert doc["novel_classes"] == ["normal brain"]
         assert doc["train_epochs"] == 5  # explicit epochs in config wins
+        for artifact in ("checkpoint.ckpt", "train_log.tsv", "base_to_novel_report.json"):
+            meta = json.loads((tmp_path / "out" / f"{artifact}.meta").read_text())
+            assert meta["command"] == "base-to-novel"
 
     def test_zero_halves_fail_after_checkpoint_and_log(self, toy_dataset, capsys, monkeypatch):
         tmp_path, config, config_path = toy_dataset
@@ -574,6 +577,17 @@ class TestExitCodes:
         for command in ("select", "train", "eval"):
             assert run(command, str(config_path)) == 3, command
             assert "flat.emb: header declares rows of width 0" in capsys.readouterr().err
+
+    def test_zero_image_row_is_3_naming_the_item(self, toy_dataset, capsys):
+        tmp_path, config, config_path = toy_dataset
+        cache = read_embedding_cache(tmp_path / "images.emb").values.copy()
+        cache[load_cache_index(tmp_path / "images.idx")["test-glioma-3"]] = 0.0
+        write_embedding_cache(EmbeddingMatrix(values=cache), tmp_path / "images.emb")
+        assert run("eval", str(config_path)) == 3
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("bmcoop-error")]
+        assert len(lines) == 1
+        assert "category=data" in lines[0] and "'test-glioma-3'" in lines[0]
 
     @pytest.mark.parametrize("key,value", [
         ("llm_max_retries", -1), ("llm_max_retries", 2.5), ("llm_max_retries", float("nan")),

@@ -17,11 +17,7 @@ from bmcoop.ensemble import (
     write_score_report,
 )
 from bmcoop.errors import DataError
-
-
-def unit_rows(rng, n, d):
-    rows = rng.standard_normal((n, d))
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+from conftest import unit_rows
 
 
 class TestMeanEnsemble:

@@ -23,12 +23,7 @@ from bmcoop.objective import (
     teacher_log_probs,
     total_loss,
 )
-from conftest import oracle_text_grad, oracle_total_loss
-
-
-def unit_rows(rng, n, d):
-    rows = rng.standard_normal((n, d))
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+from conftest import oracle_text_grad, oracle_total_loss, unit_rows
 
 
 def kdsp_loss(v, student, teacher, tau):

@@ -31,6 +31,7 @@ from bmcoop.types import (
     EmbeddingMatrix,
     PromptBank,
     RunConfig,
+    normalize_rows,
 )
 
 
@@ -330,13 +331,40 @@ class TestPromptBank:
 
 
 class TestEmbeddingMatrixInvariants:
-    def test_normalized_flag_enforced(self):
-        with pytest.raises(DataError, match="unit"):
-            EmbeddingMatrix(values=np.array([[3.0, 4.0]]), normalized=True)
-
     def test_non_finite_rejected(self):
         with pytest.raises(DataError, match="non-finite"):
             EmbeddingMatrix(values=np.array([[np.inf, 0.0]]))
+
+
+class TestNormalizeRows:
+    def test_equals_out_of_place_division(self):
+        x = np.random.default_rng(3).standard_normal((50, 12)) * 4.0
+        rows = x.copy()
+        norms = normalize_rows(rows, "rows")
+        assert np.array_equal(rows, x / np.linalg.norm(x, axis=1)[:, None])
+        assert np.array_equal(norms, np.linalg.norm(x, axis=1))
+
+    def test_out_leaves_rows_unchanged(self):
+        x = np.random.default_rng(5).standard_normal((20, 7))
+        rows, out = x.copy(), np.empty_like(x)
+        normalize_rows(rows, "rows", out=out)
+        assert np.array_equal(rows, x)
+        assert np.array_equal(out, x / np.linalg.norm(x, axis=1)[:, None])
+
+    def test_in_place_on_a_row_slice(self):
+        x = np.random.default_rng(4).standard_normal((10, 6))
+        big = x.copy()
+        normalize_rows(big[3:7], "rows")
+        assert np.array_equal(big[3:7], x[3:7] / np.linalg.norm(x[3:7], axis=1)[:, None])
+        assert np.array_equal(big[:3], x[:3]) and np.array_equal(big[7:], x[7:])
+
+    def test_zero_row_named(self):
+        rows = np.ones((3, 4))
+        rows[1] = 0.0
+        with pytest.raises(DataError, match="zero-norm row 'img1' in cached image embeddings"):
+            normalize_rows(rows.copy(), "cached image embeddings", ["img0", "img1", "img2"])
+        with pytest.raises(DataError, match="zero-norm row 1 in images"):
+            normalize_rows(rows.copy(), "images")
 
 
 class TestRunConfig:
