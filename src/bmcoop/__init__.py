@@ -9,7 +9,6 @@ the context moves.
 
 from .backbone import (
     CachedVisionSource,
-    ContextVectors,
     SyntheticTextEncoder,
     SyntheticVisionEncoder,
     encode_text_bank,
@@ -46,7 +45,6 @@ from .objective import (
 )
 from .promptgen import LlmEndpointConfig, build_query, fetch_prompts
 from .trainer import (
-    FewShotSupportSet,
     TrainState,
     load_checkpoint,
     sample_few_shot,

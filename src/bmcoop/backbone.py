@@ -16,8 +16,9 @@ token vectors and L_c = M + (name tokens) the sequence length,
 ``P·n_c`` is fixed for the run; the encoder memoises the stacked (C, D)
 rows and the (C,) name token counts per class list, so encoding all C
 classes costs one mat-vec ``P·Σctx`` plus a (C, D) normalization.
-Every context row receives the same gradient, so the M rows move in
-lockstep and only Σctx matters to the embeddings.
+The context is a plain (M, d_tok) float64 array. Every context row
+receives the same gradient, so the tape returns that one (d_tok,) row,
+the M rows move in lockstep and only Σctx matters to the embeddings.
 
 The prompt bank has no context, and every prompt is frozen, so the whole
 bank is encoded from one table. With ``T`` the (V, W) token vectors of the
@@ -58,49 +59,25 @@ def _hash_seed(*parts: str) -> int:
 
 
 @dataclass
-class ContextVectors:
-    """The learnable prompt context: M rows in token-embedding space."""
-
-    vectors: np.ndarray  # (M, d_tok) float64
-
-    def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
-        if self.vectors.ndim != 2 or self.vectors.shape[0] < 1:
-            raise DataError(f"context must be a non-empty 2-D matrix, got {self.vectors.shape}")
-        check_finite(self.vectors, "context vectors")
-
-    @property
-    def length(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def token_width(self) -> int:
-        return self.vectors.shape[1]
-
-    def copy(self) -> "ContextVectors":
-        return ContextVectors(vectors=self.vectors.copy())
-
-
-@dataclass
 class TextGradTape:
     """Closure over one encoding of all classes, exposing the exact vector-Jacobian product.
 
     The forward pass was ``raw_c = (P·Σctx + P·n_c) / L_c`` and
-    ``u_c = raw_c / ||raw_c||``. ``vjp(g)`` maps dLoss/dEmbeddings (C x D)
-    to dLoss/dContext (M x d_tok) with one mat-vec:
+    ``u_c = raw_c / ||raw_c||``. Mean pooling gives each of the M context
+    rows the same gradient, so ``vjp(g)`` maps dLoss/dEmbeddings (C x D)
+    to that one shared (d_tok,) row of dLoss/dContext with one mat-vec:
 
         row = P.T @ Σ_c g_raw_c / L_c,   g_raw_c = (g_c - (g_c·u_c) u_c) / ||raw_c||
 
-    tiled over the M rows. Mean pooling gives every context row the same
-    gradient, so the rows move in lockstep. Tapes are single-use
-    bookkeeping, not shared across threads.
+    The full (M x d_tok) gradient is ``row`` in every row; an update
+    broadcasts it. Tapes are single-use bookkeeping, not shared across
+    threads.
     """
 
     projection: np.ndarray  # (D, d_tok), frozen
     unit: np.ndarray        # (C, D) embeddings after normalization
     raw_norm: np.ndarray    # (C,) ||raw_c|| before normalization
     seq_len: np.ndarray     # (C,) context rows + class-name tokens
-    ctx_rows: int
 
     def vjp(self, grad_embedding: np.ndarray) -> np.ndarray:
         g = np.asarray(grad_embedding, dtype=np.float64)
@@ -108,8 +85,7 @@ class TextGradTape:
             raise DataError(f"gradient has shape {g.shape}, embeddings have {self.unit.shape}")
         radial = np.einsum("cd,cd->c", g, self.unit)
         g_raw = (g - radial[:, None] * self.unit) / self.raw_norm[:, None]
-        row = self.projection.T @ (g_raw / self.seq_len[:, None]).sum(axis=0)
-        return np.tile(row, (self.ctx_rows, 1))
+        return self.projection.T @ (g_raw / self.seq_len[:, None]).sum(axis=0)
 
 
 class SyntheticTextEncoder:
@@ -176,8 +152,9 @@ class SyntheticTextEncoder:
         return h.hexdigest()
 
 
-def init_context(handle: SyntheticTextEncoder, init_text: str, length: int) -> ContextVectors:
-    """Build the initial context from the token embeddings of ``init_text``.
+def init_context(handle: SyntheticTextEncoder, init_text: str, length: int) -> np.ndarray:
+    """Build the initial (length, d_tok) float64 context from the token
+    embeddings of ``init_text``.
 
     Exactly ``length`` rows: token embeddings in order, truncated if the
     text is longer, right-padded with seeded zero-mean Gaussian rows
@@ -195,24 +172,26 @@ def init_context(handle: SyntheticTextEncoder, init_text: str, length: int) -> C
         rows = np.vstack([token_rows, pad]) if token_rows.size else pad
     else:
         rows = token_rows
-    return ContextVectors(vectors=rows.astype(np.float64))
+    return rows.astype(np.float64)
 
 
 def encode_text_with_context(
     handle: SyntheticTextEncoder,
-    ctx: ContextVectors,
+    ctx: np.ndarray,
     class_names: list[str],
 ) -> tuple[np.ndarray, TextGradTape]:
-    """Encode [context ; class-name tokens] for every class: (C, D) unit rows plus one tape."""
-    if ctx.token_width != handle.token_width:
+    """Encode [context ; class-name tokens] for every class: (C, D) unit rows
+    plus one tape. ``ctx`` is the (M, d_tok) context."""
+    length, width = ctx.shape
+    if width != handle.token_width:
         raise DataError(
-            f"context width {ctx.token_width} does not match handle width {handle.token_width}"
+            f"context width {width} does not match handle width {handle.token_width}"
         )
     if not class_names:
         raise DataError("no class names to encode")
     name_rows, name_tokens = handle.name_block(class_names)
-    seq_len = ctx.length + name_tokens
-    ctx_raw = handle.projection @ ctx.vectors.sum(axis=0)
+    seq_len = length + name_tokens
+    ctx_raw = handle.projection @ ctx.sum(axis=0)
     unit = (ctx_raw + name_rows) / seq_len[:, None]
     norms = normalize_rows(unit, "class embeddings", class_names)
     tape = TextGradTape(
@@ -220,7 +199,6 @@ def encode_text_with_context(
         unit=unit,
         raw_norm=norms,
         seq_len=seq_len,
-        ctx_rows=ctx.length,
     )
     return unit, tape
 
@@ -285,8 +263,9 @@ class SyntheticVisionEncoder:
         self.projection.setflags(write=False)
         self.bias.setflags(write=False)
 
-    def encode(self, features: np.ndarray) -> np.ndarray:
-        """(B, D) float64 unit rows, one per feature row."""
+    def encode(self, features: np.ndarray, names: list | None = None) -> np.ndarray:
+        """(B, D) float64 unit rows, one per feature row; a zero row is named
+        by ``names`` when given, else by its index."""
         feats = np.asarray(features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[1] != self.feature_dim:
             raise DataError(
@@ -295,7 +274,7 @@ class SyntheticVisionEncoder:
         check_finite(feats, "image features")
         raw = feats @ self.projection.T
         raw += self.bias
-        normalize_rows(raw, "image embeddings")
+        normalize_rows(raw, "image embeddings", names)
         return raw
 
 

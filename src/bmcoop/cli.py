@@ -282,20 +282,25 @@ def cmd_encode_images(cfg: LoadedConfig) -> None:
         feature_dim=features.dim,
         embedding_dim=run.embedding_dim,
     )
-    embedded = EmbeddingMatrix(values=encoder.encode(features.values))
+    # a zero row is named by the item id that points to it, else by its index
+    names: list = list(range(features.row_count))
+    for item_id, row in index.items():
+        names[row] = item_id
+    embedded = EmbeddingMatrix(values=encoder.encode(features.values, names))
     out_cache = cfg.path("image_cache", required=True)
     out_index = cfg.path("image_index", required=True)
     io.write_embedding_cache(embedded, out_cache)
     io.write_cache_index(index, out_index)
     _write_meta(out_cache, cfg, "encode-images")
+    _write_meta(out_index, cfg, "encode-images")
     print(f"wrote image cache: {out_cache} ({embedded.row_count} rows)")
 
 
 def cmd_select(cfg: LoadedConfig) -> None:
     catalog, manifest, source = _load_inputs(cfg)
     bank_embeds = _bank_embeddings(cfg, catalog)
-    support = trainer.sample_few_shot(manifest, catalog, cfg.run.shots, cfg.run.seed)
-    images = source.encode(support.item_ids)
+    item_ids, _ = trainer.sample_few_shot(manifest, catalog, cfg.run.shots, cfg.run.seed)
+    images = source.encode(item_ids)
     _, _, reports = trainer.prepare_ensembles(
         catalog.names, bank_embeds, images, cfg.run
     )
@@ -318,8 +323,8 @@ def _train_common(cfg, catalog, manifest, source, handle, keep: slice, epochs: i
     run = replace(cfg.run, epochs=epochs)
     class_names = catalog.names[keep]
 
-    support = trainer.sample_few_shot(manifest, catalog, run.shots, run.seed, keep)
-    images = source.encode(support.item_ids)
+    item_ids, labels = trainer.sample_few_shot(manifest, catalog, run.shots, run.seed, keep)
+    images = source.encode(item_ids)
 
     ensemble_mean_arr = teacher = None
     if run.lambda1 != 0.0 or run.lambda2 != 0.0:
@@ -328,7 +333,7 @@ def _train_common(cfg, catalog, manifest, source, handle, keep: slice, epochs: i
         )
 
     return trainer.train_run(
-        images, support.labels, class_names, handle, run,
+        images, labels, class_names, handle, run,
         ensemble_mean=ensemble_mean_arr, teacher_ensemble=teacher,
     )
 

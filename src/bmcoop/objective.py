@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import ContextVectors, SyntheticTextEncoder, encode_text_with_context
+from .backbone import SyntheticTextEncoder, encode_text_with_context
 from .errors import DataError
 from .types import normalize_rows
 
@@ -257,7 +257,7 @@ def kdsp_grad_wrt_text(scores: StudentScores, log_teacher: np.ndarray) -> np.nda
 
 def loss_gradient(
     handle: SyntheticTextEncoder,
-    ctx: ContextVectors,
+    ctx: np.ndarray,
     class_names: list[str],
     v_unit: np.ndarray,
     labels: np.ndarray,
@@ -266,7 +266,8 @@ def loss_gradient(
     lambda1: float,
     lambda2: float,
 ) -> tuple[LossBreakdown, np.ndarray]:
-    """Loss breakdown plus the exact gradient of the total w.r.t. the context.
+    """Loss breakdown plus the exact gradient of the total w.r.t. the
+    (M, d_tok) context ``ctx``: the one (d_tok,) row every context row shares.
 
     ``v_unit`` and ``labels`` are a batch's rows, and ``teacher_unit`` the
     teacher rows, of what ``prepare_support`` returns. Terms with a zero

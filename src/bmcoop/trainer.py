@@ -16,12 +16,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .backbone import (
-    ContextVectors,
-    SyntheticTextEncoder,
-    encode_text_with_context,
-    init_context,
-)
+from .backbone import SyntheticTextEncoder, encode_text_with_context, init_context
 from .ensemble import PromptScoreReport, mean_ensemble, score_and_select, selected_ensemble
 from .errors import DataError, NumericError
 from .io import read_file, write_atomic, write_text
@@ -32,18 +27,10 @@ from .objective import (
     predict,
     prepare_support,
 )
-from .types import ClassCatalog, DatasetManifest, RunConfig
+from .types import ClassCatalog, DatasetManifest, RunConfig, check_finite
 
 CKPT_MAGIC = b"BMCCKPT1"
 CKPT_VERSION = 1
-
-
-@dataclass
-class FewShotSupportSet:
-    """Exactly K train items per class, sampled without replacement."""
-
-    item_ids: list[str]          # class-major order, K per class
-    labels: np.ndarray           # (C*K,) class indices
 
 
 def sample_few_shot(
@@ -52,8 +39,10 @@ def sample_few_shot(
     shots: int,
     seed: int,
     keep: slice = slice(None),
-) -> FewShotSupportSet:
-    """Draw K train items per class, deterministic under (seed, manifest order).
+) -> tuple[list[str], np.ndarray]:
+    """Draw K train items per class without replacement, deterministic under
+    (seed, manifest order): the item ids in class-major order and their
+    (C*K,) labels.
 
     ``keep`` restricts sampling to a slice of the catalog (e.g. the base
     classes); labels are positions within that slice.
@@ -74,14 +63,14 @@ def sample_few_shot(
         picked = pool[rng.choice(pool.size, size=shots, replace=False)]
         item_ids.extend(manifest.item_ids[i] for i in picked)
     labels = np.repeat(np.arange(len(classes), dtype=np.intp), shots)
-    return FewShotSupportSet(item_ids=item_ids, labels=labels)
+    return item_ids, labels
 
 
 @dataclass
 class TrainState:
     """Mutable training state: the learnable context, the next epoch, the shuffle RNG."""
 
-    ctx: ContextVectors
+    ctx: np.ndarray  # (M, d_tok) float64
     epoch: int
     rng: np.random.Generator
 
@@ -106,8 +95,7 @@ def _round_f32(vectors: np.ndarray) -> np.ndarray:
 
 
 def initial_state(handle: SyntheticTextEncoder, config: RunConfig) -> TrainState:
-    ctx = init_context(handle, config.context_init_text, config.context_length)
-    ctx.vectors = _round_f32(ctx.vectors)
+    ctx = _round_f32(init_context(handle, config.context_init_text, config.context_length))
     return TrainState(ctx=ctx, epoch=0, rng=np.random.default_rng(config.seed))
 
 
@@ -151,9 +139,9 @@ def train_run(
     """
     if state is None:
         state = initial_state(handle, config)
-    if state.ctx.token_width != handle.token_width:
+    if state.ctx.shape[1] != handle.token_width:
         raise DataError(
-            f"checkpoint context width {state.ctx.token_width} does not match "
+            f"checkpoint context width {state.ctx.shape[1]} does not match "
             f"handle width {handle.token_width}"
         )
 
@@ -183,13 +171,12 @@ def train_run(
                         "ce": breakdown.ce,
                         "sccm": breakdown.sccm,
                         "kdsp": breakdown.kdsp,
-                        "ctx_norm": float(np.linalg.norm(state.ctx.vectors)),
-                        "grad_norm": float(np.linalg.norm(grad)),
+                        "ctx_norm": float(np.linalg.norm(state.ctx)),
+                        # every context row carries the gradient row ``grad``
+                        "grad_norm": float(np.sqrt(len(state.ctx)) * np.linalg.norm(grad)),
                     },
                 )
-            state.ctx.vectors = _round_f32(
-                state.ctx.vectors - config.learning_rate * grad
-            )
+            state.ctx = _round_f32(state.ctx - config.learning_rate * grad)
             sums += len(batch) * np.array([breakdown.ce, breakdown.sccm, breakdown.kdsp])
         means = sums / n
         epoch_breakdown = LossBreakdown.compose(
@@ -205,7 +192,7 @@ def train_run(
 
 def _accuracy_with_context(
     handle: SyntheticTextEncoder,
-    ctx: ContextVectors,
+    ctx: np.ndarray,
     class_names: list[str],
     images: np.ndarray,
     labels: np.ndarray,
@@ -252,7 +239,7 @@ def _unpack_rng_state(blob: bytes) -> np.random.Generator:
 
 
 def save_checkpoint(state: TrainState, path: str | Path) -> None:
-    ctx32 = np.ascontiguousarray(state.ctx.vectors, dtype="<f4")
+    ctx32 = np.ascontiguousarray(state.ctx, dtype="<f4")
     rows, width = ctx32.shape
     rng_blob = _pack_rng_state(state.rng)
 
@@ -283,8 +270,11 @@ def load_checkpoint(path: str | Path) -> TrainState:
     # the payload plus the u32 epoch and u32 rng-state length that follow it
     if len(blob) < offset + payload + 8:
         raise DataError(f"{path}: truncated checkpoint")
+    if rows == 0:
+        raise DataError(f"{path}: checkpoint context has 0 rows")
     ctx = np.frombuffer(blob[offset : offset + payload], dtype="<f4")
     ctx = ctx.reshape(rows, width).astype(np.float64)
+    check_finite(ctx, f"{path}: checkpoint context")
     offset += payload
     (epoch,) = struct.unpack_from("<I", blob, offset)
     offset += 4
@@ -293,4 +283,4 @@ def load_checkpoint(path: str | Path) -> TrainState:
     if len(blob) != offset + rng_len:
         raise DataError(f"{path}: trailing or missing rng state bytes")
     rng = _unpack_rng_state(blob[offset : offset + rng_len])
-    return TrainState(ctx=ContextVectors(vectors=ctx), epoch=int(epoch), rng=rng)
+    return TrainState(ctx=ctx, epoch=int(epoch), rng=rng)

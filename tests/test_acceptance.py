@@ -90,7 +90,7 @@ def test_criterion_2_gradient_exactness():
                         configs += 1
                         names = all_names[:n_classes]
                         ctx = init_context(handle, "a photo of a", 4)
-                        ctx.vectors = rng.standard_normal(ctx.vectors.shape) * 0.3
+                        ctx = rng.standard_normal(ctx.shape) * 0.3
                         v = unit_rows(rng, batch, handle.embedding_dim)
                         labels = rng.integers(0, n_classes, size=batch)
                         pg = rng.standard_normal((n_classes, handle.embedding_dim)) * 0.4
@@ -105,20 +105,18 @@ def test_criterion_2_gradient_exactness():
                         )
 
                         def f(vectors):
-                            c = ctx.copy()
-                            c.vectors = vectors
-                            text, _ = encode_text_with_context(handle, c, names)
+                            text, _ = encode_text_with_context(handle, vectors, names)
                             return total_loss(
                                 student_scores(v_unit, text, handle.tau),
                                 checked, pg, log_teacher, lambda1, lambda2,
                             ).total
 
-                        fd = np.zeros_like(ctx.vectors)
-                        for i in range(ctx.vectors.shape[0]):
-                            for j in range(ctx.vectors.shape[1]):
-                                plus = ctx.vectors.copy()
+                        fd = np.zeros_like(ctx)
+                        for i in range(ctx.shape[0]):
+                            for j in range(ctx.shape[1]):
+                                plus = ctx.copy()
                                 plus[i, j] += eps
-                                minus = ctx.vectors.copy()
+                                minus = ctx.copy()
                                 minus[i, j] -= eps
                                 fd[i, j] = (f(plus) - f(minus)) / (2 * eps)
                         denom = np.maximum(np.abs(grad), np.abs(fd))
@@ -253,13 +251,13 @@ def test_criterion_4_coop_reduction_bit_identical():
         state, _ = train_run(
             images, labels, task.names, task.handle, task.config(epochs=k), state=state
         )
-        trainer_snapshots.append(state.ctx.vectors.copy())
+        trainer_snapshots.append(state.ctx.copy())
 
     # independent CE-only reference loop
     cfg = task.config(epochs=epochs)
     handle = task.handle
     ctx = init_context(handle, cfg.context_init_text, cfg.context_length)
-    vectors = ctx.vectors.astype(np.float32).astype(np.float64)
+    vectors = ctx.astype(np.float32).astype(np.float64)
     rng = np.random.default_rng(cfg.seed)
     trajectory_equal = True
     for epoch in range(epochs):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from bmcoop import cli
-from bmcoop.backbone import SyntheticTextEncoder, encode_text_with_context
+from bmcoop.backbone import SyntheticTextEncoder, SyntheticVisionEncoder, encode_text_with_context
 from bmcoop.cli import _eval_split, _load_inputs, parse_config, run
 from bmcoop.ensemble import mean_ensemble
 from bmcoop.errors import ConfigError
@@ -24,7 +24,7 @@ from bmcoop.io import (
     write_prompt_bank,
 )
 from bmcoop.objective import class_probabilities, predict
-from bmcoop.trainer import load_checkpoint
+from bmcoop.trainer import TrainState, load_checkpoint, save_checkpoint
 from bmcoop.types import PromptBank
 from conftest import (
     DESK_DIM,
@@ -370,6 +370,33 @@ class TestEncodeCommands:
         assert out.values.shape == (10, 16)
         norms = np.linalg.norm(out.values.astype(np.float64), axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-5
+        for artifact in ("images.emb", "images.idx"):
+            meta = json.loads((tmp_path / f"{artifact}.meta").read_text())
+            assert meta["command"] == "encode-images", artifact
+
+    def test_encode_images_zero_row_names_the_item(self, tmp_path, capsys, monkeypatch):
+        # no float32 feature cancels a float64 bias exactly, so zero the bias:
+        # an all-zero feature row then encodes to an exactly zero row
+        class Unbiased(SyntheticVisionEncoder):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                self.bias = np.zeros(self.embedding_dim)
+
+        monkeypatch.setattr(cli, "SyntheticVisionEncoder", Unbiased)
+        config_path = self.features_config(tmp_path, {f"it{i}": 9 - i for i in range(10)})
+        feats = read_embedding_cache(tmp_path / "feats.emb").values.copy()
+        feats[7] = 0.0  # the row of it2
+        write_embedding_cache(EmbeddingMatrix(values=feats), tmp_path / "feats.emb")
+        assert run("encode-images", str(config_path)) == 3
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("bmcoop-error")]
+        assert len(lines) == 1
+        assert "category=data" in lines[0] and "zero-norm row 'it2' " in lines[0]
+        # a row that no id points to is named by its index
+        write_cache_index({f"it{i}": 9 - i for i in range(10) if i != 2}, tmp_path / "feats.idx")
+        assert run("encode-images", str(config_path)) == 3
+        assert "zero-norm row 7 in image embeddings" in capsys.readouterr().err
+        assert not (tmp_path / "images.emb").exists()
 
     def test_encode_images_rejects_index_outside_features(self, tmp_path, capsys):
         config_path = self.features_config(tmp_path, {"it0": 0, "it1": 999999})
@@ -577,6 +604,16 @@ class TestExitCodes:
         for command in ("select", "train", "eval"):
             assert run(command, str(config_path)) == 3, command
             assert "flat.emb: header declares rows of width 0" in capsys.readouterr().err
+
+    def test_nan_checkpoint_is_3(self, toy_dataset, capsys):
+        tmp_path, config, config_path = toy_dataset
+        ckpt = tmp_path / "nan.ckpt"
+        save_checkpoint(TrainState(ctx=np.full((2, 3), np.nan), epoch=0,
+                                   rng=np.random.default_rng(0)), ckpt)
+        rewrite(config_path, config, checkpoint=str(ckpt))
+        assert run("eval", str(config_path)) == 3
+        err = capsys.readouterr().err
+        assert "category=data" in err and "checkpoint context contains non-finite values" in err
 
     def test_zero_image_row_is_3_naming_the_item(self, toy_dataset, capsys):
         tmp_path, config, config_path = toy_dataset

@@ -13,6 +13,7 @@ from bmcoop.backbone import encode_text_with_context, init_context
 from bmcoop.errors import DataError, NumericError
 from bmcoop.io import load_manifest
 from bmcoop.trainer import (
+    TrainState,
     initial_state,
     load_checkpoint,
     prepare_ensembles,
@@ -49,10 +50,10 @@ def columns(records):
 class TestSampleFewShot:
     def test_deterministic_under_seed(self):
         manifest, catalog = make_manifest(10)
-        a = sample_few_shot(manifest, catalog, shots=1, seed=7)
-        b = sample_few_shot(manifest, catalog, shots=1, seed=7)
-        assert a.item_ids == b.item_ids
-        assert np.array_equal(a.labels, b.labels)
+        a_ids, a_labels = sample_few_shot(manifest, catalog, shots=1, seed=7)
+        b_ids, b_labels = sample_few_shot(manifest, catalog, shots=1, seed=7)
+        assert a_ids == b_ids
+        assert np.array_equal(a_labels, b_labels)
 
     def test_insufficient_items_names_class(self):
         manifest, catalog = make_manifest(6)
@@ -67,21 +68,21 @@ class TestSampleFewShot:
 
     def test_train_split_only_without_replacement(self):
         manifest, catalog = make_manifest(8)
-        support = sample_few_shot(manifest, catalog, shots=8, seed=3)
-        assert len(set(support.item_ids)) == 16
-        assert all("-val" not in i and "-test" not in i for i in support.item_ids)
+        item_ids, _ = sample_few_shot(manifest, catalog, shots=8, seed=3)
+        assert len(set(item_ids)) == 16
+        assert all("-val" not in i and "-test" not in i for i in item_ids)
 
     def test_class_major_label_layout(self):
         manifest, catalog = make_manifest(5)
-        support = sample_few_shot(manifest, catalog, shots=2, seed=1)
-        assert list(support.labels) == [0, 0, 1, 1]
-        assert all(i.startswith("benign") for i in support.item_ids[:2])
+        item_ids, labels = sample_few_shot(manifest, catalog, shots=2, seed=1)
+        assert list(labels) == [0, 0, 1, 1]
+        assert all(i.startswith("benign") for i in item_ids[:2])
 
     def test_overlap_matches_hypergeometric_expectation(self):
         """K=16 of 100: pairwise overlap should hover near K^2/100 = 2.56."""
         manifest, catalog = make_manifest(100, classes=("solo",), extra_splits=False)
         picks = [
-            set(sample_few_shot(manifest, catalog, shots=16, seed=s).item_ids)
+            set(sample_few_shot(manifest, catalog, shots=16, seed=s)[0])
             for s in (1, 2, 3)
         ]
         assert picks[0] != picks[1] != picks[2]
@@ -104,14 +105,14 @@ class TestSampleFewShot:
         path.write_text("".join(lines))
         catalog = ClassCatalog(classes=[ClassEntry(n, "ultrasound") for n in names])
         manifest = load_manifest(path, catalog)
-        full = sample_few_shot(manifest, catalog, shots=3, seed=5)
-        base = sample_few_shot(manifest, catalog, shots=3, seed=5, keep=slice(2))
-        assert full.item_ids == [
+        full_ids, full_labels = sample_few_shot(manifest, catalog, shots=3, seed=5)
+        base_ids, base_labels = sample_few_shot(manifest, catalog, shots=3, seed=5, keep=slice(2))
+        assert full_ids == [
             "img42", "img30", "img00", "img34", "img28", "img16", "img32", "img14", "img20",
         ]
-        assert base.item_ids == full.item_ids[:6]
-        assert list(full.labels) == [0, 0, 0, 1, 1, 1, 2, 2, 2]
-        assert list(base.labels) == [0, 0, 0, 1, 1, 1]
+        assert base_ids == full_ids[:6]
+        assert list(full_labels) == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+        assert list(base_labels) == [0, 0, 0, 1, 1, 1]
 
 
 def make_support(task, per_class=16, seed=500):
@@ -123,17 +124,17 @@ class TestTrainRun:
     def test_zero_epochs_leaves_context_unchanged(self, desk_task):
         cfg = desk_task.config(epochs=0)
         state = initial_state(desk_task.handle, cfg)
-        before = state.ctx.vectors.copy()
+        before = state.ctx.copy()
         out, logs = train_run(*make_support(desk_task), desk_task.names, desk_task.handle, cfg, state=state)
         assert logs == []
-        assert np.array_equal(out.ctx.vectors, before)
+        assert np.array_equal(out.ctx, before)
 
     def test_deterministic_trajectory(self, desk_task):
         cfg = desk_task.config(epochs=5)
         images, labels = make_support(desk_task)
         s1, l1 = train_run(images, labels, desk_task.names, desk_task.handle, cfg)
         s2, l2 = train_run(images, labels, desk_task.names, desk_task.handle, cfg)
-        assert np.array_equal(s1.ctx.vectors, s2.ctx.vectors)
+        assert np.array_equal(s1.ctx, s2.ctx)
         assert [e.line() for e in l1] == [e.line() for e in l2]
 
     def test_ce_only_run_matches_reference_loop(self, desk_task):
@@ -145,7 +146,7 @@ class TestTrainRun:
         # reference loop: independent shuffling/update wiring, CE path only
         handle = desk_task.handle
         ctx = init_context(handle, cfg.context_init_text, cfg.context_length)
-        vectors = ctx.vectors.astype(np.float32).astype(np.float64)
+        vectors = ctx.astype(np.float32).astype(np.float64)
         rng = np.random.default_rng(cfg.seed)
         for _ in range(cfg.epochs):
             order = rng.permutation(images.shape[0])
@@ -155,7 +156,7 @@ class TestTrainRun:
                     handle, vectors, desk_task.names, images[batch], labels[batch]
                 )
                 vectors = (vectors - cfg.learning_rate * grad).astype(np.float32).astype(np.float64)
-        assert np.array_equal(state.ctx.vectors, vectors)
+        assert np.array_equal(state.ctx, vectors)
 
     def test_loss_decreases_by_epoch_ten(self, desk_task):
         for seed in (1, 2, 3, 4, 5):
@@ -251,13 +252,13 @@ class TestTrainRun:
                 args = (images[batch], labels[batch], text, pg, ps, handle.tau, 0.5, 0.25)
                 bd = oracle_total_loss(*args)
                 grad = tape.vjp(oracle_text_grad(*args))
-                ref.ctx.vectors = (
-                    (ref.ctx.vectors - cfg.learning_rate * grad).astype(np.float32).astype(np.float64)
+                ref.ctx = (
+                    (ref.ctx - cfg.learning_rate * grad).astype(np.float32).astype(np.float64)
                 )
                 sums += len(batch) * np.array([bd.ce, bd.sccm, bd.kdsp])
             got = logs[epoch].breakdown
             assert np.array_equal(sums / n, [got.ce, got.sccm, got.kdsp]), epoch
-        assert np.array_equal(state.ctx.vectors, ref.ctx.vectors)
+        assert np.array_equal(state.ctx, ref.ctx)
 
 
 class TestTrainingLog:
@@ -283,7 +284,7 @@ class TestCheckpoints:
         path = tmp_path / "run.ckpt"
         save_checkpoint(state, path)
         back = load_checkpoint(path)
-        assert np.array_equal(back.ctx.vectors, state.ctx.vectors)
+        assert np.array_equal(back.ctx, state.ctx)
         assert back.epoch == state.epoch
         assert back.rng.bit_generator.state == state.rng.bit_generator.state
 
@@ -301,7 +302,7 @@ class TestCheckpoints:
             images, labels, desk_task.names, desk_task.handle, full_cfg, state=resumed_state
         )
         assert logs[0].epoch == 10
-        assert np.array_equal(resumed.ctx.vectors, straight.ctx.vectors)
+        assert np.array_equal(resumed.ctx, straight.ctx)
 
     def test_checkpoint_bytes_stable_across_identical_runs(self, desk_task, tmp_path):
         images, labels = make_support(desk_task)
@@ -341,6 +342,21 @@ class TestCheckpoints:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
         with pytest.raises(DataError, match="magic"):
+            load_checkpoint(path)
+
+    def test_zero_row_context_rejected(self, tmp_path):
+        path = tmp_path / "empty.ckpt"
+        save_checkpoint(TrainState(ctx=np.zeros((0, 3)), epoch=0, rng=np.random.default_rng(0)), path)
+        assert struct.unpack_from("<III", path.read_bytes(), 8) == (1, 0, 3)
+        with pytest.raises(DataError, match="checkpoint context has 0 rows"):
+            load_checkpoint(path)
+
+    def test_non_finite_context_rejected(self, tmp_path):
+        path = tmp_path / "nan.ckpt"
+        ctx = np.zeros((2, 3))
+        ctx[1, 2] = np.nan
+        save_checkpoint(TrainState(ctx=ctx, epoch=0, rng=np.random.default_rng(0)), path)
+        with pytest.raises(DataError, match="checkpoint context contains non-finite values"):
             load_checkpoint(path)
 
     def test_truncated_rejected(self, desk_task, tmp_path):
