@@ -53,7 +53,6 @@ from .trainer import (
 )
 from .types import (
     ClassCatalog,
-    ClassEntry,
     DatasetManifest,
     EmbeddingMatrix,
     PromptBank,

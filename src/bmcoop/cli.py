@@ -166,7 +166,7 @@ def _check_llm_settings(timeout, retries) -> None:
         raise ConfigError(f"llm_max_retries must be a whole number >= 0, got {retries!r}")
 
 
-def _write_meta(artifact: Path, cfg: LoadedConfig, command: str) -> None:
+def _write_meta(cfg: LoadedConfig, command: str, *artifacts: Path) -> None:
     meta = {
         "command": command,
         "config_digest": cfg.digest,
@@ -174,10 +174,9 @@ def _write_meta(artifact: Path, cfg: LoadedConfig, command: str) -> None:
         "created_unix": time.time(),
         "host": platform.node(),
     }
-    io.write_text(
-        artifact.with_suffix(artifact.suffix + ".meta"),
-        json.dumps(meta, indent=2, sort_keys=True) + "\n",
-    )
+    text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
+    for artifact in artifacts:
+        io.write_text(artifact.with_suffix(artifact.suffix + ".meta"), text)
 
 
 # ── shared pipeline pieces ───────────────────────────────────────────
@@ -256,7 +255,7 @@ def cmd_gen_prompts(cfg: LoadedConfig) -> None:
     )
     out = cfg.path("bank", required=True)
     io.write_prompt_bank(bank, out)
-    _write_meta(out, cfg, "gen-prompts")
+    _write_meta(cfg, "gen-prompts", out)
     print(f"wrote prompt bank: {out}")
 
 
@@ -268,7 +267,7 @@ def cmd_encode_bank(cfg: LoadedConfig) -> None:
     embeds = EmbeddingMatrix(values=encode_text_bank(_text_handle(cfg), bank, catalog.names))
     out = cfg.path("bank_cache", required=True)
     io.write_embedding_cache(embeds, out)
-    _write_meta(out, cfg, "encode-bank")
+    _write_meta(cfg, "encode-bank", out)
     print(f"wrote bank cache: {out} ({embeds.row_count} rows)")
 
 
@@ -291,8 +290,7 @@ def cmd_encode_images(cfg: LoadedConfig) -> None:
     out_index = cfg.path("image_index", required=True)
     io.write_embedding_cache(embedded, out_cache)
     io.write_cache_index(index, out_index)
-    _write_meta(out_cache, cfg, "encode-images")
-    _write_meta(out_index, cfg, "encode-images")
+    _write_meta(cfg, "encode-images", out_cache, out_index)
     print(f"wrote image cache: {out_cache} ({embedded.row_count} rows)")
 
 
@@ -314,7 +312,7 @@ def cmd_select(cfg: LoadedConfig) -> None:
             "beta": cfg.run.beta,
         },
     )
-    _write_meta(out, cfg, "select")
+    _write_meta(cfg, "select", out)
     print(f"wrote prompt score report: {out}")
 
 
@@ -338,18 +336,24 @@ def _train_common(cfg, catalog, manifest, source, handle, keep: slice, epochs: i
     )
 
 
+def _save_training(
+    cfg: LoadedConfig, state: trainer.TrainState, logs: list[trainer.EpochLog]
+) -> tuple[Path, Path]:
+    """Write the checkpoint and the training log into ``out_dir``; returns their paths."""
+    out = cfg.out_dir()
+    ckpt, log_path = out / "checkpoint.ckpt", out / "train_log.tsv"
+    trainer.save_checkpoint(state, ckpt)
+    trainer.write_training_log(logs, log_path)
+    return ckpt, log_path
+
+
 def cmd_train(cfg: LoadedConfig) -> None:
     catalog, manifest, source = _load_inputs(cfg)
     state, logs = _train_common(
         cfg, catalog, manifest, source, _text_handle(cfg), slice(None), cfg.run.epochs
     )
-    out = cfg.out_dir()
-    ckpt = out / "checkpoint.ckpt"
-    log_path = out / "train_log.tsv"
-    trainer.save_checkpoint(state, ckpt)
-    trainer.write_training_log(logs, log_path)
-    _write_meta(ckpt, cfg, "train")
-    _write_meta(log_path, cfg, "train")
+    ckpt, log_path = _save_training(cfg, state, logs)
+    _write_meta(cfg, "train", ckpt, log_path)
     final = logs[-1].train_acc if logs else float("nan")
     print(f"wrote checkpoint: {ckpt} (final train accuracy {100 * final:.2f}%)")
 
@@ -371,7 +375,7 @@ def cmd_eval(cfg: LoadedConfig) -> None:
         out, cfg.values["dataset_name"], cfg.run.seed, acc, None, None,
         {"config_digest": cfg.digest, "classifier": cfg.values["eval_classifier"]},
     )
-    _write_meta(out, cfg, "eval")
+    _write_meta(cfg, "eval", out)
     print(table, end="")
     print(f"wrote eval report: {out}")
 
@@ -394,12 +398,8 @@ def cmd_base_to_novel(cfg: LoadedConfig) -> None:
     novel_acc = _accuracy(logits, labels, cut, len(catalog))
     overall = _accuracy(logits, labels, 0, len(catalog))
 
-    out = cfg.out_dir()
-    ckpt = out / "checkpoint.ckpt"
-    log_path = out / "train_log.tsv"
-    trainer.save_checkpoint(state, ckpt)
-    trainer.write_training_log(logs, log_path)
-    report_path = out / "base_to_novel_report.json"
+    ckpt, log_path = _save_training(cfg, state, logs)
+    report_path = ckpt.parent / "base_to_novel_report.json"
     table = evaluation.write_run_report(
         report_path, cfg.values["dataset_name"], cfg.run.seed, overall, base_acc, novel_acc,
         {
@@ -409,8 +409,7 @@ def cmd_base_to_novel(cfg: LoadedConfig) -> None:
             "train_epochs": epochs,
         },
     )
-    for artifact in (ckpt, log_path, report_path):
-        _write_meta(artifact, cfg, "base-to-novel")
+    _write_meta(cfg, "base-to-novel", ckpt, log_path, report_path)
     print(table, end="")
     print(f"wrote base-to-novel report: {report_path}")
 
@@ -449,11 +448,11 @@ def _print_error(e: BmcoopError) -> None:
 
 
 def _dump_abort_state(config_path: str, e: NumericError) -> None:
+    dump = Path(config_path).with_suffix(".abort.json")
     try:
-        dump = Path(config_path).with_suffix(".abort.json")
-        dump.write_text(json.dumps(e.state, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        io.write_text(dump, json.dumps(e.state, indent=2, sort_keys=True) + "\n")
         log.error("wrote abort state dump: %s", dump)
-    except OSError:
+    except DataError:
         log.error("could not write abort state dump")
 
 

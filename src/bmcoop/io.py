@@ -1,8 +1,9 @@
-"""File formats: manifests, catalogs, prompt banks, binary embedding caches.
+"""File formats: manifests, catalogs, prompt banks, and the one binary layout.
 
-The embedding cache is a custom little-endian binary layout
-(``BMCEMB1`` + u32 row_count + u32 dim + float32 payload) so that any
-implementation in any language reads it bit-identically.
+Embedding caches and checkpoints share a little-endian binary layout
+(magic bytes + u32 header fields, rows and width last + row-major float32
+payload + trailer bytes) that ``write_binary`` writes and ``read_binary``
+reads, so that any implementation in any language reads it bit-identically.
 """
 
 from __future__ import annotations
@@ -19,14 +20,12 @@ from .errors import BmcoopError, DataError
 from .types import (
     SPLITS,
     ClassCatalog,
-    ClassEntry,
     DatasetManifest,
     EmbeddingMatrix,
     PromptBank,
 )
 
 CACHE_MAGIC = b"BMCEMB1"  # 7 bytes
-_HEADER = struct.Struct("<II")  # row_count, dim
 
 
 # ── files ────────────────────────────────────────────────────────────
@@ -101,10 +100,10 @@ def _read_table(path: Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
 def load_catalog(path: str | Path) -> ClassCatalog:
     """Read a catalog file: one `name<TAB>modality` line per class, in canonical order."""
     path = Path(path)
-    entries = [ClassEntry(name, modality) for _, (name, modality) in _read_table(path, 2)]
-    if not entries:
+    columns = list(zip(*(fields for _, fields in _read_table(path, 2))))
+    if not columns:
         raise DataError(f"{path}: catalog lists no classes")
-    return ClassCatalog(classes=entries)
+    return ClassCatalog(names=list(columns[0]), modalities=list(columns[1]))
 
 
 # ── manifest ─────────────────────────────────────────────────────────
@@ -178,51 +177,75 @@ def write_prompt_bank(bank: PromptBank, path: str | Path) -> None:
     write_text(path, json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
 
-# ── binary embedding cache ───────────────────────────────────────────
+# ── binary layout: embedding caches and checkpoints ──────────────────
 
-def write_embedding_cache(matrix: EmbeddingMatrix, path: str | Path) -> None:
-    """Serialize as magic + u32 rows + u32 dim + row-major little-endian float32.
-
-    Values are stored as float32; callers keeping float64 pipelines must
-    expect the cast here. Output bytes are a pure function of the values.
+def write_binary(
+    path: str | Path, magic: bytes, fields: tuple[int, ...], values: np.ndarray, trailer: bytes
+) -> None:
+    """Write ``magic``, the u32 ``fields`` and the rows and width of the 2-D
+    ``values``, then ``values`` as row-major little-endian float32, then
+    ``trailer``, through ``write_atomic``. Output bytes are a pure function
+    of the arguments; float64 values are cast to float32.
     """
-    values = np.ascontiguousarray(matrix.values, dtype="<f4")
-    rows, dim = values.shape
+    values = np.ascontiguousarray(values, dtype="<f4")
+    head = magic + struct.pack(f"<{len(fields) + 2}I", *fields, *values.shape)
 
     def write(fh: BinaryIO) -> None:
-        fh.write(CACHE_MAGIC)
-        fh.write(_HEADER.pack(rows, dim))
+        fh.write(head)
         values.tofile(fh)
+        fh.write(trailer)
 
     write_atomic(path, write)
 
 
-def read_embedding_cache(path: str | Path) -> EmbeddingMatrix:
-    """Read a cache written by ``write_embedding_cache``; the payload is read
-    straight into the returned float32 array, with no intermediate copy."""
+def read_binary(
+    path: str | Path, magic: bytes, what: str, n_fields: int = 0
+) -> tuple[tuple[int, ...], np.ndarray, bytes]:
+    """Read a file written by ``write_binary`` with ``n_fields`` leading header
+    fields: (those fields, the (rows, width) float32 payload, the trailer).
+
+    A file that is not ``what``, a short header, a width of 0 or a short
+    payload is a ``DataError`` naming ``path``. The size is checked before
+    the payload is allocated, and the payload is read straight into it.
+    """
     path = Path(path)
+    header = struct.Struct(f"<{n_fields + 2}I")
     try:
         with open(path, "rb") as fh:
-            head = fh.read(len(CACHE_MAGIC) + _HEADER.size)
-            if head[: len(CACHE_MAGIC)] != CACHE_MAGIC:
-                raise DataError(f"{path}: bad magic, not an embedding cache")
-            if len(head) < len(CACHE_MAGIC) + _HEADER.size:
+            head = fh.read(len(magic) + header.size)
+            if head[: len(magic)] != magic:
+                raise DataError(f"{path}: bad magic, not {what}")
+            if len(head) < len(magic) + header.size:
                 raise DataError(f"{path}: truncated header")
-            rows, dim = _HEADER.unpack_from(head, len(CACHE_MAGIC))
-            if dim == 0:
+            *fields, rows, width = header.unpack_from(head, len(magic))
+            if width == 0:
                 raise DataError(f"{path}: header declares rows of width 0")
-            expected = rows * dim * 4
+            expected = rows * width * 4
             found = os.fstat(fh.fileno()).st_size - len(head)
-            if found != expected:
+            if found < expected:
                 raise DataError(
-                    f"{path}: truncated payload, header declares {rows}x{dim} "
+                    f"{path}: truncated payload, header declares {rows}x{width} "
                     f"({expected} bytes) but found {found}"
                 )
-            values = np.empty((rows, dim), dtype="<f4")
+            values = np.empty((rows, width), dtype="<f4")
             if fh.readinto(values) != expected:
                 raise DataError(f"{path}: file shrank while it was read")
+            trailer = fh.read()
     except OSError as e:
         raise _unreadable(path, e, "file", DataError) from None
+    return tuple(fields), values, trailer
+
+
+def write_embedding_cache(matrix: EmbeddingMatrix, path: str | Path) -> None:
+    """Write ``matrix`` as ``BMCEMB1`` + u32 rows + u32 dim + float32 rows."""
+    write_binary(path, CACHE_MAGIC, (), matrix.values, b"")
+
+
+def read_embedding_cache(path: str | Path) -> EmbeddingMatrix:
+    """Read a cache written by ``write_embedding_cache``."""
+    _, values, trailer = read_binary(path, CACHE_MAGIC, "an embedding cache")
+    if trailer:
+        raise DataError(f"{path}: {len(trailer)} unexpected bytes after the payload")
     try:
         return EmbeddingMatrix(values=values)
     except DataError as e:

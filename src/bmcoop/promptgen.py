@@ -150,8 +150,8 @@ def fetch_prompts(
     prompts: dict[str, list[str]] = {}
     modalities: dict[str, str] = {}
     deficits: dict[str, int] = {}
-    for entry in catalog:
-        query = build_query(entry.name, entry.modality, n)
+    for name, modality in zip(catalog.names, catalog.modalities):
+        query = build_query(name, modality, n)
         collected: list[str] = []
         seen: set[str] = set()
         for attempt in range(config.max_retries + 1):
@@ -162,7 +162,7 @@ def fetch_prompts(
             except _TransientReply as e:
                 if attempt == config.max_retries:
                     raise
-                log.warning("attempt %d for %r: %s; asking again", attempt + 1, entry.name, e)
+                log.warning("attempt %d for %r: %s; asking again", attempt + 1, name, e)
                 continue
             for line in parse_prompt_lines(content):
                 if line not in seen:
@@ -171,10 +171,10 @@ def fetch_prompts(
             if len(collected) >= n:
                 break
         if len(collected) < n:
-            deficits[entry.name] = len(collected)
+            deficits[name] = len(collected)
             continue
-        prompts[entry.name] = collected[:n]
-        modalities[entry.name] = entry.modality
+        prompts[name] = collected[:n]
+        modalities[name] = modality
     if deficits:
         short = ", ".join(f"{k} ({v}/{n})" for k, v in deficits.items())
         raise NetworkError(f"could not collect {n} prompts for: {short}")

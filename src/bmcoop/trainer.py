@@ -4,7 +4,9 @@ Everything here is deterministic under (seed, config, inputs): shuffling
 uses a dedicated PCG64 generator whose state travels inside checkpoints,
 and the context is rounded to float32 after every update so the float32
 checkpoint payload round-trips bit-exactly and a resumed run retraces an
-uninterrupted one.
+uninterrupted one. A checkpoint is the context in the binary layout of
+``io`` with the epoch and the generator state as its trailer. A loss or a
+context that stops being finite ends the run with a ``NumericError``.
 """
 
 from __future__ import annotations
@@ -12,14 +14,13 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
 from .backbone import SyntheticTextEncoder, encode_text_with_context, init_context
 from .ensemble import PromptScoreReport, mean_ensemble, score_and_select, selected_ensemble
 from .errors import DataError, NumericError
-from .io import read_file, write_atomic, write_text
+from .io import read_binary, write_binary, write_text
 from .objective import (
     LossBreakdown,
     class_probabilities,
@@ -135,7 +136,8 @@ def train_run(
     Passing a ``state`` (fresh or loaded from a checkpoint) resumes at
     ``state.epoch``; the returned logs cover only the epochs run here.
     Malformed support rows, labels or teacher rows, and a non-positive
-    tau, raise a ``DataError`` before the first step.
+    tau, raise a ``DataError`` before the first step; a non-finite loss or
+    context raises a ``NumericError`` carrying the last step's state.
     """
     if state is None:
         state = initial_state(handle, config)
@@ -163,21 +165,13 @@ def train_run(
                 config.lambda1, config.lambda2,
             )
             if not np.isfinite(breakdown.total):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch}",
-                    state={
-                        "epoch": epoch,
-                        "batch_start": int(start),
-                        "ce": breakdown.ce,
-                        "sccm": breakdown.sccm,
-                        "kdsp": breakdown.kdsp,
-                        "ctx_norm": float(np.linalg.norm(state.ctx)),
-                        # every context row carries the gradient row ``grad``
-                        "grad_norm": float(np.sqrt(len(state.ctx)) * np.linalg.norm(grad)),
-                    },
-                )
+                raise _numeric_abort("loss", epoch, start, breakdown, state.ctx, grad)
             state.ctx = _round_f32(state.ctx - config.learning_rate * grad)
             sums += len(batch) * np.array([breakdown.ce, breakdown.sccm, breakdown.kdsp])
+        # a step that overflows the float32 context is seen by the next loss,
+        # except on the epoch's last step
+        if not np.isfinite(state.ctx).all():
+            raise _numeric_abort("context", epoch, start, breakdown, state.ctx, grad)
         means = sums / n
         epoch_breakdown = LossBreakdown.compose(
             means[0], means[1], means[2], config.lambda1, config.lambda2
@@ -188,6 +182,24 @@ def train_run(
         state.epoch = epoch + 1
         logs.append(EpochLog(epoch=epoch, breakdown=epoch_breakdown, train_acc=train_acc))
     return state, logs
+
+
+def _numeric_abort(
+    what: str, epoch: int, start: int, breakdown: LossBreakdown, ctx: np.ndarray, grad: np.ndarray
+) -> NumericError:
+    return NumericError(
+        f"non-finite {what} at epoch {epoch}",
+        state={
+            "epoch": epoch,
+            "batch_start": int(start),
+            "ce": breakdown.ce,
+            "sccm": breakdown.sccm,
+            "kdsp": breakdown.kdsp,
+            "ctx_norm": float(np.linalg.norm(ctx)),
+            # every context row carries the gradient row ``grad``
+            "grad_norm": float(np.sqrt(len(ctx)) * np.linalg.norm(grad)),
+        },
+    )
 
 
 def _accuracy_with_context(
@@ -239,48 +251,24 @@ def _unpack_rng_state(blob: bytes) -> np.random.Generator:
 
 
 def save_checkpoint(state: TrainState, path: str | Path) -> None:
-    ctx32 = np.ascontiguousarray(state.ctx, dtype="<f4")
-    rows, width = ctx32.shape
+    """Write the context in the binary layout under a (version, rows, width)
+    header, with a trailer of u32 epoch, u32 RNG state length, RNG state."""
     rng_blob = _pack_rng_state(state.rng)
-
-    def write(fh: BinaryIO) -> None:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<III", CKPT_VERSION, rows, width))
-        fh.write(ctx32.tobytes(order="C"))
-        fh.write(struct.pack("<I", state.epoch))
-        fh.write(struct.pack("<I", len(rng_blob)))
-        fh.write(rng_blob)
-
-    write_atomic(path, write)
+    trailer = struct.pack("<II", state.epoch, len(rng_blob)) + rng_blob
+    write_binary(path, CKPT_MAGIC, (CKPT_VERSION,), state.ctx, trailer)
 
 
 def load_checkpoint(path: str | Path) -> TrainState:
-    path = Path(path)
-    blob = read_file(path, "checkpoint")
-    if blob[: len(CKPT_MAGIC)] != CKPT_MAGIC:
-        raise DataError(f"{path}: bad checkpoint magic")
-    offset = len(CKPT_MAGIC)
-    if len(blob) < offset + 12:
-        raise DataError(f"{path}: truncated checkpoint header")
-    version, rows, width = struct.unpack_from("<III", blob, offset)
+    (version,), ctx32, trailer = read_binary(path, CKPT_MAGIC, "a checkpoint", 1)
     if version != CKPT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    offset += 12
-    payload = rows * width * 4
-    # the payload plus the u32 epoch and u32 rng-state length that follow it
-    if len(blob) < offset + payload + 8:
-        raise DataError(f"{path}: truncated checkpoint")
-    if rows == 0:
+    if len(ctx32) == 0:
         raise DataError(f"{path}: checkpoint context has 0 rows")
-    ctx = np.frombuffer(blob[offset : offset + payload], dtype="<f4")
-    ctx = ctx.reshape(rows, width).astype(np.float64)
+    ctx = ctx32.astype(np.float64)
     check_finite(ctx, f"{path}: checkpoint context")
-    offset += payload
-    (epoch,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    (rng_len,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    if len(blob) != offset + rng_len:
+    if len(trailer) < 8:
+        raise DataError(f"{path}: truncated checkpoint trailer")
+    epoch, rng_len = struct.unpack_from("<II", trailer)
+    if len(trailer) != 8 + rng_len:
         raise DataError(f"{path}: trailing or missing rng state bytes")
-    rng = _unpack_rng_state(blob[offset : offset + rng_len])
-    return TrainState(ctx=ctx, epoch=int(epoch), rng=rng)
+    return TrainState(ctx=ctx, epoch=epoch, rng=_unpack_rng_state(trailer[8:]))

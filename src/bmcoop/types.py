@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -63,24 +62,19 @@ class EmbeddingMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class ClassEntry:
-    name: str
-    modality: str
-
-
 @dataclass
 class ClassCatalog:
-    """Ordered class list; the order is canonical and persisted.
+    """Classes in canonical order as two columns: names and modalities.
 
-    Every per-class vector anywhere in the pipeline is indexed by position
-    in this list.
+    The order is persisted, and every per-class vector anywhere in the
+    pipeline is indexed by position in it.
     """
 
-    classes: list[ClassEntry]
+    names: list[str]
+    modalities: list[str]
 
     def __post_init__(self):
-        names = [c.name for c in self.classes]
+        names = self.names
         if any(not n for n in names):
             raise DataError("catalog contains an empty class name")
         if len(set(names)) != len(names):
@@ -88,14 +82,7 @@ class ClassCatalog:
             raise DataError(f"duplicate class names in catalog: {dupes}")
 
     def __len__(self) -> int:
-        return len(self.classes)
-
-    def __iter__(self) -> Iterator[ClassEntry]:
-        return iter(self.classes)
-
-    @property
-    def names(self) -> list[str]:
-        return [c.name for c in self.classes]
+        return len(self.names)
 
 
 @dataclass
@@ -127,9 +114,9 @@ class PromptBank:
         encoded. A repeated prompt is usable (it only weighs twice in the
         class ensemble), so it is reported rather than rejected.
         """
-        for entry in catalog:
-            if entry.name not in self.prompts:
-                raise DataError(f"prompt bank missing class {entry.name!r}")
+        for name in catalog.names:
+            if name not in self.prompts:
+                raise DataError(f"prompt bank missing class {name!r}")
         sizes = {len(self.prompts[name]) for name in catalog.names}
         if len(sizes) != 1:
             raise DataError(f"inconsistent prompt counts across classes: {sorted(sizes)}")

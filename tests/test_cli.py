@@ -615,6 +615,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "category=data" in err and "checkpoint context contains non-finite values" in err
 
+    @pytest.mark.parametrize("command", ["train", "base-to-novel"])
+    def test_context_overflow_on_the_last_step_is_4(self, toy_dataset, capsys, command):
+        tmp_path, config, config_path = toy_dataset
+        # one step per run, so only the context check can see the overflow
+        rewrite(config_path, config, epochs=1, shots=1, batch_size=4, learning_rate=1e40)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(command, str(config_path)) == 4
+        assert "non-finite context at epoch 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        dump = json.loads(config_path.with_suffix(".abort.json").read_text())
+        assert set(dump) == {
+            "epoch", "batch_start", "ce", "sccm", "kdsp", "ctx_norm", "grad_norm",
+        }
+
     def test_zero_image_row_is_3_naming_the_item(self, toy_dataset, capsys):
         tmp_path, config, config_path = toy_dataset
         cache = read_embedding_cache(tmp_path / "images.emb").values.copy()

@@ -16,11 +16,11 @@ from bmcoop.evaluation import (
     harmonic_mean,
     write_run_report,
 )
-from bmcoop.types import ClassCatalog, ClassEntry
+from bmcoop.types import ClassCatalog
 
 
 def make_catalog(n):
-    return ClassCatalog(classes=[ClassEntry(f"class{i}", "mri") for i in range(n)])
+    return ClassCatalog(names=[f"class{i}" for i in range(n)], modalities=["mri"] * n)
 
 
 class TestAccuracy:

@@ -16,9 +16,9 @@ from bmcoop.promptgen import (
     fetch_prompts,
     parse_prompt_lines,
 )
-from bmcoop.types import ClassCatalog, ClassEntry, PromptBank
+from bmcoop.types import ClassCatalog, PromptBank
 
-CATALOG = ClassCatalog(classes=[ClassEntry("glioma tumor", "MRI")])
+CATALOG = ClassCatalog(names=["glioma tumor"], modalities=["MRI"])
 ENDPOINT = LlmEndpointConfig(
     base_url="https://llm.example/v1",
     model="test-model",

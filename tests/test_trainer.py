@@ -23,7 +23,7 @@ from bmcoop.trainer import (
     write_training_log,
 )
 from conftest import oracle_text_grad, oracle_total_loss, per_class_ce_grad
-from bmcoop.types import SPLITS, ClassCatalog, ClassEntry, DatasetManifest
+from bmcoop.types import SPLITS, ClassCatalog, DatasetManifest
 
 
 def make_manifest(per_class_train, classes=("benign", "malignant"), extra_splits=True):
@@ -34,7 +34,7 @@ def make_manifest(per_class_train, classes=("benign", "malignant"), extra_splits
         if extra_splits:
             records.append((f"{name}-val", c, "val"))
             records.append((f"{name}-test", c, "test"))
-    catalog = ClassCatalog(classes=[ClassEntry(n, "ultrasound") for n in classes])
+    catalog = ClassCatalog(names=list(classes), modalities=["ultrasound"] * len(classes))
     return columns(records), catalog
 
 
@@ -103,7 +103,7 @@ class TestSampleFewShot:
         ]
         path = tmp_path / "m.tsv"
         path.write_text("".join(lines))
-        catalog = ClassCatalog(classes=[ClassEntry(n, "ultrasound") for n in names])
+        catalog = ClassCatalog(names=list(names), modalities=["ultrasound"] * len(names))
         manifest = load_manifest(path, catalog)
         full_ids, full_labels = sample_few_shot(manifest, catalog, shots=3, seed=5)
         base_ids, base_labels = sample_few_shot(manifest, catalog, shots=3, seed=5, keep=slice(2))
@@ -196,6 +196,18 @@ class TestTrainRun:
             train_run(images, labels, desk_task.names, desk_task.handle, cfg)
         assert "epoch" in err.value.state
         assert "ctx_norm" in err.value.state
+        assert set(err.value.state) == {
+            "epoch", "batch_start", "ce", "sccm", "kdsp", "ctx_norm", "grad_norm",
+        }
+
+    def test_context_overflow_on_the_last_step_aborts(self, desk_task):
+        # one step of three rows, so no later loss sees the overflowed context
+        cfg = desk_task.config(epochs=1, batch_size=4, learning_rate=1e40)
+        images, labels = make_support(desk_task, per_class=1)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericError, match="non-finite context at epoch 0"
+        ) as err:
+            train_run(images, labels, desk_task.names, desk_task.handle, cfg)
         assert set(err.value.state) == {
             "epoch", "batch_start", "ce", "sccm", "kdsp", "ctx_norm", "grad_norm",
         }
@@ -332,7 +344,7 @@ class TestCheckpoints:
         path = tmp_path / "run.ckpt"
         save_checkpoint(state, path)
         before = path.read_bytes()
-        # the epoch is packed after the context payload, so this fails mid-write
+        # a negative epoch cannot be packed into the u32 trailer
         with pytest.raises(struct.error):
             save_checkpoint(dataclasses.replace(state, epoch=-1), path)
         assert path.read_bytes() == before

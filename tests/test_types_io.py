@@ -23,11 +23,17 @@ from bmcoop.io import (
     write_embedding_cache,
     write_prompt_bank,
 )
-from bmcoop.trainer import CKPT_MAGIC, CKPT_VERSION, _pack_rng_state, load_checkpoint
+from bmcoop.trainer import (
+    CKPT_MAGIC,
+    CKPT_VERSION,
+    TrainState,
+    _pack_rng_state,
+    load_checkpoint,
+    save_checkpoint,
+)
 from bmcoop.types import (
     SPLITS,
     ClassCatalog,
-    ClassEntry,
     EmbeddingMatrix,
     PromptBank,
     RunConfig,
@@ -36,7 +42,7 @@ from bmcoop.types import (
 
 
 def make_catalog(*names, modality="ultrasound"):
-    return ClassCatalog(classes=[ClassEntry(name=n, modality=modality) for n in names])
+    return ClassCatalog(names=list(names), modalities=[modality] * len(names))
 
 
 class TestCatalog:
@@ -401,6 +407,62 @@ def _checkpoint_bytes() -> bytes:
         CKPT_MAGIC + struct.pack("<III", CKPT_VERSION, 1, 2) + np.ones(2, "<f4").tobytes()
         + struct.pack("<II", 5, len(rng_blob)) + rng_blob
     )
+
+
+def _write_cache(path, values):
+    write_embedding_cache(EmbeddingMatrix(values=values), path)
+
+
+def _write_checkpoint(path, values):
+    save_checkpoint(TrainState(ctx=values, epoch=5, rng=np.random.default_rng(3)), path)
+
+
+# format -> (reader, writer, header length, what the magic names, trailing-bytes message)
+BINARY_FORMATS = {
+    "embedding cache": (
+        read_embedding_cache, _write_cache, len(CACHE_MAGIC) + 8,
+        "an embedding cache", "3 unexpected bytes after the payload",
+    ),
+    "checkpoint": (
+        load_checkpoint, _write_checkpoint, len(CKPT_MAGIC) + 12,
+        "a checkpoint", "trailing or missing rng state bytes",
+    ),
+}
+
+
+class TestBinaryLayout:
+    @pytest.mark.parametrize("fault", [
+        "bad magic", "truncated header", "truncated payload", "width 0", "bytes after the payload",
+    ])
+    @pytest.mark.parametrize("kind", sorted(BINARY_FORMATS))
+    def test_fault_is_a_data_error_naming_the_path(self, kind, fault, tmp_path):
+        read, write, header_end, what, trailing = BINARY_FORMATS[kind]
+        path = tmp_path / "input.bin"
+        write(path, np.zeros((2, 0) if fault == "width 0" else (2, 3)))
+        blob = path.read_bytes()
+        blob, match = {
+            "bad magic": (b"X" + blob[1:], f"bad magic, not {what}"),
+            "truncated header": (blob[: header_end - 1], "truncated header"),
+            "truncated payload": (
+                blob[: header_end + 4],
+                r"truncated payload, header declares 2x3 \(24 bytes\) but found 4",
+            ),
+            "width 0": (blob, "header declares rows of width 0"),
+            "bytes after the payload": (blob + bytes(3), trailing),
+        }[fault]
+        path.write_bytes(blob)
+        with pytest.raises(DataError, match=match) as err:
+            read(path)
+        assert str(path) in str(err.value)
+
+    def test_checkpoint_version_2_rejected(self, tmp_path):
+        path = tmp_path / "v2.ckpt"
+        blob = _checkpoint_bytes()
+        at = len(CKPT_MAGIC)
+        path.write_bytes(blob[:at] + struct.pack("<I", 2) + blob[at + 4 :])
+        with pytest.raises(DataError, match="unsupported checkpoint version 2") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
 
 
 CATALOG = make_catalog("benign", "malignant")
