@@ -1,8 +1,8 @@
 """Command-line entry point: one config file per run, flat key space.
 
-Commands: gen-prompts, encode-bank, encode-images, select, train, eval,
-base-to-novel. Primary artifacts are byte-deterministic for identical
-configs; timestamps and host info live only in ``.meta`` sidecar files.
+The commands are the keys of ``_HANDLERS``. Primary artifacts are
+byte-deterministic for identical configs; timestamps and host info live
+only in the ``.meta`` sidecar that ``run`` writes beside each of them.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure,
 5 network error.
@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import platform
 import sys
@@ -39,11 +40,6 @@ from .objective import cosine_logits, predict
 from .types import SPLITS, ClassCatalog, EmbeddingMatrix, RunConfig
 
 log = logging.getLogger("bmcoop.cli")
-
-COMMANDS = (
-    "gen-prompts", "encode-bank", "encode-images",
-    "select", "train", "eval", "base-to-novel",
-)
 
 RUN_KEYS = tuple(f.name for f in fields(RunConfig))
 
@@ -108,6 +104,17 @@ def _coerce(key: str, value):
         raise ConfigError(f"config key {key!r}: {e}") from e
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a key given twice is a ``ConfigError``, not
+    the silent last-one-wins of ``json.loads``."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"config key {key!r} is given more than once")
+        doc[key] = value
+    return doc
+
+
 def parse_config(path: str | Path, overrides: list[str] | None = None) -> LoadedConfig:
     """Load the JSON config, apply defaults, reject unknown keys, apply overrides.
 
@@ -115,7 +122,8 @@ def parse_config(path: str | Path, overrides: list[str] | None = None) -> Loaded
     """
     path = Path(path)
     try:
-        doc = json.loads(io.read_text(path, "config file", ConfigError))
+        doc = json.loads(io.read_text(path, "config file", ConfigError),
+                         object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as e:
         raise ConfigError(f"{path}: invalid JSON: {e}") from e
     if not isinstance(doc, dict):
@@ -166,7 +174,8 @@ def _check_llm_settings(timeout, retries) -> None:
         raise ConfigError(f"llm_max_retries must be a whole number >= 0, got {retries!r}")
 
 
-def _write_meta(cfg: LoadedConfig, command: str, *artifacts: Path) -> None:
+def _write_meta(cfg: LoadedConfig, command: str, artifacts: list[Path]) -> None:
+    """Write ``<artifact>.meta`` beside each primary artifact of ``command``."""
     meta = {
         "command": command,
         "config_digest": cfg.digest,
@@ -174,9 +183,8 @@ def _write_meta(cfg: LoadedConfig, command: str, *artifacts: Path) -> None:
         "created_unix": time.time(),
         "host": platform.node(),
     }
-    text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
     for artifact in artifacts:
-        io.write_text(artifact.with_suffix(artifact.suffix + ".meta"), text)
+        io.write_json(artifact.with_suffix(artifact.suffix + ".meta"), meta)
 
 
 # ── shared pipeline pieces ───────────────────────────────────────────
@@ -230,17 +238,9 @@ def _accuracy(logits: np.ndarray, labels: np.ndarray, first: int, stop: int) -> 
     return evaluation.accuracy(predict(logits[rows, first:stop]), labels[rows] - first)
 
 
-def _context_for_eval(cfg: LoadedConfig, handle: SyntheticTextEncoder):
-    ckpt = cfg.path("checkpoint")
-    if ckpt is not None:
-        return trainer.load_checkpoint(ckpt).ctx
-    # no checkpoint: fresh template-initialized context (zero-shot)
-    return trainer.initial_state(handle, cfg.run).ctx
+# ── commands: each returns the primary artifacts it wrote ─────────────
 
-
-# ── commands ─────────────────────────────────────────────────────────
-
-def cmd_gen_prompts(cfg: LoadedConfig) -> None:
+def cmd_gen_prompts(cfg: LoadedConfig) -> list[Path]:
     catalog = io.load_catalog(cfg.path("catalog", required=True))
     endpoint = promptgen.LlmEndpointConfig(
         base_url=cfg.values["llm_base_url"],
@@ -255,11 +255,11 @@ def cmd_gen_prompts(cfg: LoadedConfig) -> None:
     )
     out = cfg.path("bank", required=True)
     io.write_prompt_bank(bank, out)
-    _write_meta(cfg, "gen-prompts", out)
     print(f"wrote prompt bank: {out}")
+    return [out]
 
 
-def cmd_encode_bank(cfg: LoadedConfig) -> None:
+def cmd_encode_bank(cfg: LoadedConfig) -> list[Path]:
     catalog = io.load_catalog(cfg.path("catalog", required=True))
     bank = io.load_prompt_bank(cfg.path("bank", required=True))
     for note in bank.validate(catalog):
@@ -267,11 +267,11 @@ def cmd_encode_bank(cfg: LoadedConfig) -> None:
     embeds = EmbeddingMatrix(values=encode_text_bank(_text_handle(cfg), bank, catalog.names))
     out = cfg.path("bank_cache", required=True)
     io.write_embedding_cache(embeds, out)
-    _write_meta(cfg, "encode-bank", out)
     print(f"wrote bank cache: {out} ({embeds.row_count} rows)")
+    return [out]
 
 
-def cmd_encode_images(cfg: LoadedConfig) -> None:
+def cmd_encode_images(cfg: LoadedConfig) -> list[Path]:
     features = io.read_embedding_cache(cfg.path("features_cache", required=True))
     index = io.load_cache_index(cfg.path("features_index", required=True))
     check_index_rows(index, features.row_count)
@@ -290,11 +290,11 @@ def cmd_encode_images(cfg: LoadedConfig) -> None:
     out_index = cfg.path("image_index", required=True)
     io.write_embedding_cache(embedded, out_cache)
     io.write_cache_index(index, out_index)
-    _write_meta(cfg, "encode-images", out_cache, out_index)
     print(f"wrote image cache: {out_cache} ({embedded.row_count} rows)")
+    return [out_cache, out_index]
 
 
-def cmd_select(cfg: LoadedConfig) -> None:
+def cmd_select(cfg: LoadedConfig) -> list[Path]:
     catalog, manifest, source = _load_inputs(cfg)
     bank_embeds = _bank_embeddings(cfg, catalog)
     item_ids, _ = trainer.sample_few_shot(manifest, catalog, cfg.run.shots, cfg.run.seed)
@@ -312,8 +312,8 @@ def cmd_select(cfg: LoadedConfig) -> None:
             "beta": cfg.run.beta,
         },
     )
-    _write_meta(cfg, "select", out)
     print(f"wrote prompt score report: {out}")
+    return [out]
 
 
 def _train_common(cfg, catalog, manifest, source, handle, keep: slice, epochs: int):
@@ -347,18 +347,18 @@ def _save_training(
     return ckpt, log_path
 
 
-def cmd_train(cfg: LoadedConfig) -> None:
+def cmd_train(cfg: LoadedConfig) -> list[Path]:
     catalog, manifest, source = _load_inputs(cfg)
     state, logs = _train_common(
         cfg, catalog, manifest, source, _text_handle(cfg), slice(None), cfg.run.epochs
     )
     ckpt, log_path = _save_training(cfg, state, logs)
-    _write_meta(cfg, "train", ckpt, log_path)
     final = logs[-1].train_acc if logs else float("nan")
     print(f"wrote checkpoint: {ckpt} (final train accuracy {100 * final:.2f}%)")
+    return [ckpt, log_path]
 
 
-def cmd_eval(cfg: LoadedConfig) -> None:
+def cmd_eval(cfg: LoadedConfig) -> list[Path]:
     catalog, manifest, source = _load_inputs(cfg)
     handle = _text_handle(cfg)
     images, labels = _eval_split(cfg, manifest, source)
@@ -366,8 +366,10 @@ def cmd_eval(cfg: LoadedConfig) -> None:
     if cfg.values["eval_classifier"] == "ensemble":
         class_embeds = mean_ensemble(_bank_embeddings(cfg, catalog))
     else:
-        ctx = _context_for_eval(cfg, handle)
-        class_embeds, _ = encode_text_with_context(handle, ctx, catalog.names)
+        ckpt = cfg.path("checkpoint")
+        # no checkpoint: fresh template-initialized context (zero-shot)
+        state = trainer.load_checkpoint(ckpt) if ckpt else trainer.initial_state(handle, cfg.run)
+        class_embeds, _ = encode_text_with_context(handle, state.ctx, catalog.names)
     acc = _accuracy(cosine_logits(images, class_embeds, handle.tau), labels, 0, len(catalog))
 
     out = cfg.out_dir() / "eval_report.json"
@@ -375,12 +377,12 @@ def cmd_eval(cfg: LoadedConfig) -> None:
         out, cfg.values["dataset_name"], cfg.run.seed, acc, None, None,
         {"config_digest": cfg.digest, "classifier": cfg.values["eval_classifier"]},
     )
-    _write_meta(cfg, "eval", out)
     print(table, end="")
     print(f"wrote eval report: {out}")
+    return [out]
 
 
-def cmd_base_to_novel(cfg: LoadedConfig) -> None:
+def cmd_base_to_novel(cfg: LoadedConfig) -> list[Path]:
     catalog, manifest, source = _load_inputs(cfg)
     handle = _text_handle(cfg)
     base_names, novel_names = evaluation.base_novel_split(catalog)
@@ -409,9 +411,9 @@ def cmd_base_to_novel(cfg: LoadedConfig) -> None:
             "train_epochs": epochs,
         },
     )
-    _write_meta(cfg, "base-to-novel", ckpt, log_path, report_path)
     print(table, end="")
     print(f"wrote base-to-novel report: {report_path}")
+    return [ckpt, log_path, report_path]
 
 
 _HANDLERS = {
@@ -428,29 +430,28 @@ _HANDLERS = {
 def run(command: str, config_path: str, overrides: list[str] | None = None) -> int:
     """Execute one command; returns the process exit status."""
     try:
-        if command not in COMMANDS:
+        if command not in _HANDLERS:
             raise ConfigError(f"unknown command {command!r}")
         cfg = parse_config(config_path, overrides)
-        _HANDLERS[command](cfg)
+        _write_meta(cfg, command, _HANDLERS[command](cfg))
         return 0
-    except NumericError as e:
-        _dump_abort_state(config_path, e)
-        _print_error(e)
-        return e.exit_code
     except BmcoopError as e:
-        _print_error(e)
+        if isinstance(e, NumericError):
+            _dump_abort_state(config_path, e)
+        message = " ".join(str(e).split())
+        print(f"bmcoop-error category={e.category} message={message!r}", file=sys.stderr)
         return e.exit_code
-
-
-def _print_error(e: BmcoopError) -> None:
-    message = " ".join(str(e).split())
-    print(f"bmcoop-error category={e.category} message={message!r}", file=sys.stderr)
 
 
 def _dump_abort_state(config_path: str, e: NumericError) -> None:
     dump = Path(config_path).with_suffix(".abort.json")
+    # strict JSON has no NaN or infinity: they go in as "nan", "inf", "-inf"
+    state = {
+        key: str(value) if isinstance(value, float) and not math.isfinite(value) else value
+        for key, value in e.state.items()
+    }
     try:
-        io.write_text(dump, json.dumps(e.state, indent=2, sort_keys=True) + "\n")
+        io.write_json(dump, state)
         log.error("wrote abort state dump: %s", dump)
     except DataError:
         log.error("could not write abort state dump")
@@ -461,7 +462,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="bmcoop",
         description="Prompt-context learning runs driven by one JSON config.",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("config", help="path to the JSON run config")
     parser.add_argument(
         "overrides", nargs="*",

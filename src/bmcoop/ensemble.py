@@ -16,14 +16,13 @@ downstream cosine computations normalize on the fly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .io import write_text
+from .io import write_json
 
 
 def _stacked(arrays, dtype, what: str) -> np.ndarray:
@@ -165,11 +164,6 @@ def score_and_select(
     return reports
 
 
-def write_score_report(
-    reports: list[PromptScoreReport],
-    path: str | Path,
-    header: dict | None = None,
-) -> None:
-    doc = dict(header or {})
-    doc["classes"] = [r.to_dict() for r in reports]
-    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def write_score_report(reports: list[PromptScoreReport], path: str | Path, header: dict) -> None:
+    """Write ``header`` and one entry per class as the prompt-score report."""
+    write_json(path, {**header, "classes": [r.to_dict() for r in reports]})

@@ -8,14 +8,13 @@ every report header so numbers are only compared under the same rule.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .io import write_text
+from .io import write_json
 from .types import ClassCatalog
 
 SPLIT_RULE = "first ceil(C/2) catalog classes are base, remainder novel"
@@ -85,7 +84,7 @@ def write_run_report(
         "split_rule": SPLIT_RULE,
         **extra,
     }
-    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
     cells = ("-" if v is None else f"{v:.2f}" for v in (base_acc, novel_acc, hm))
     header = f"{'dataset':<16} {'seeds':>5} {'mean':>7} {'std':>6} {'base':>7} {'novel':>7} {'HM':>7}"
     row = f"{dataset:<16} {1:>5} {acc:>7.2f} {0.0:>6.2f} " + " ".join(f"{c:>7}" for c in cells)

@@ -82,6 +82,12 @@ def write_text(path: str | Path, text: str) -> None:
     write_atomic(path, lambda fh: fh.write(text.encode("utf-8")))
 
 
+def write_json(path: str | Path, doc) -> None:
+    """Write ``doc`` as strict JSON: sorted keys, two-space indent, no NaN or
+    infinity (a ``ValueError``), one trailing newline."""
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
 def _read_table(path: Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) of each non-blank line of a tab-separated file."""
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):

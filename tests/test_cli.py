@@ -59,6 +59,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="lamda1"):
             parse_config(self.write(tmp_path, {"lamda1": 1}))
 
+    def test_repeated_key_named(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"lambda1": 0.5, "seed": 2, "lambda1": 0}')
+        with pytest.raises(ConfigError, match="'lambda1' is given more than once"):
+            parse_config(path)
+
     def test_type_mismatch_named(self, tmp_path):
         for key, value in (("epochs", "ten"), ("lambda1", 10**400)):
             with pytest.raises(ConfigError, match=key):
@@ -183,10 +189,6 @@ class TestTrainEval:
         out = tmp_path / "out"
         assert (out / "checkpoint.ckpt").exists()
         assert (out / "train_log.tsv").exists()
-        assert (out / "checkpoint.ckpt.meta").exists()
-        meta = json.loads((out / "checkpoint.ckpt.meta").read_text())
-        assert meta["seed"] == 1
-        assert len(meta["config_digest"]) == 64
         lines = (out / "train_log.tsv").read_text().splitlines()
         assert len(lines) == 5
 
@@ -296,9 +298,6 @@ class TestBaseToNovel:
         assert doc["base_classes"] == ["glioma tumor", "meningioma tumor"]
         assert doc["novel_classes"] == ["normal brain"]
         assert doc["train_epochs"] == 5  # explicit epochs in config wins
-        for artifact in ("checkpoint.ckpt", "train_log.tsv", "base_to_novel_report.json"):
-            meta = json.loads((tmp_path / "out" / f"{artifact}.meta").read_text())
-            assert meta["command"] == "base-to-novel"
 
     def test_zero_halves_fail_after_checkpoint_and_log(self, toy_dataset, capsys, monkeypatch):
         tmp_path, config, config_path = toy_dataset
@@ -370,9 +369,6 @@ class TestEncodeCommands:
         assert out.values.shape == (10, 16)
         norms = np.linalg.norm(out.values.astype(np.float64), axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-5
-        for artifact in ("images.emb", "images.idx"):
-            meta = json.loads((tmp_path / f"{artifact}.meta").read_text())
-            assert meta["command"] == "encode-images", artifact
 
     def test_encode_images_zero_row_names_the_item(self, tmp_path, capsys, monkeypatch):
         # no float32 feature cancels a float64 bias exactly, so zero the bias:
@@ -510,6 +506,50 @@ class TestGenPrompts:
         assert (tmp_path / "bank.json").exists()
 
 
+# per command: config changes on the toy dataset, and the primary artifacts
+# it writes, relative to the dataset directory
+SIDECAR_RUNS = {
+    "gen-prompts": ({"bank": "generated.json", "llm_fallback_bank": "bank.json",
+                     "prompts_per_class": 4}, ["generated.json"]),
+    "encode-bank": ({"bank": "bank.json", "bank_cache": "encoded_bank.emb"},
+                    ["encoded_bank.emb"]),
+    "encode-images": ({"features_cache": "images.emb", "features_index": "images.idx",
+                       "image_cache": "encoded.emb", "image_index": "encoded.idx"},
+                      ["encoded.emb", "encoded.idx"]),
+    "select": ({}, ["out/prompt_scores.json"]),
+    "train": ({}, ["out/checkpoint.ckpt", "out/train_log.tsv"]),
+    "eval": ({}, ["out/eval_report.json"]),
+    "base-to-novel": ({}, ["out/checkpoint.ckpt", "out/train_log.tsv",
+                           "out/base_to_novel_report.json"]),
+}
+
+
+@pytest.mark.parametrize("command", list(SIDECAR_RUNS))
+def test_every_primary_artifact_has_one_meta(toy_dataset, command):
+    tmp_path, config, config_path = toy_dataset
+    changes, artifacts = SIDECAR_RUNS[command]
+    names = [line.split("\t")[0] for line in (tmp_path / "catalog.tsv").read_text().splitlines()]
+    bank = PromptBank(prompts={n: [f"{n} finding {i}" for i in range(4)] for n in names},
+                      modalities={n: "MRI" for n in names})
+    write_prompt_bank(bank, tmp_path / "bank.json")
+    rewrite(config_path, config, **{k: str(tmp_path / v) if isinstance(v, str) else v
+                                    for k, v in changes.items()})
+
+    def files():
+        return {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()}
+
+    before = files()
+    assert run(command, str(config_path)) == 0
+    written = files() - before
+    assert written == {*artifacts, *(f"{a}.meta" for a in artifacts)}
+    cfg = parse_config(config_path)
+    for artifact in artifacts:
+        meta = json.loads((tmp_path / f"{artifact}.meta").read_text())
+        assert set(meta) == {"command", "config_digest", "created_unix", "host", "seed"}
+        assert (meta["command"], meta["config_digest"], meta["seed"]) == (
+            command, cfg.digest, cfg.run.seed), artifact
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):
         config_path = tmp_path / "c.json"
@@ -624,10 +664,15 @@ class TestExitCodes:
             assert run(command, str(config_path)) == 4
         assert "non-finite context at epoch 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-        dump = json.loads(config_path.with_suffix(".abort.json").read_text())
+
+        def strict(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        dump = json.loads(config_path.with_suffix(".abort.json").read_text(), parse_constant=strict)
         assert set(dump) == {
             "epoch", "batch_start", "ce", "sccm", "kdsp", "ctx_norm", "grad_norm",
         }
+        assert dump["ctx_norm"] == "inf"
 
     def test_zero_image_row_is_3_naming_the_item(self, toy_dataset, capsys):
         tmp_path, config, config_path = toy_dataset
