@@ -31,9 +31,12 @@ so ``T Pᵀ`` is projected once and each class costs one (N, V)·(V, D) GEMM.
 
 Only the context rows ever receive gradients; token vectors and the
 projection are frozen at construction. The synthetic vision encoder is a
-fixed random affine map followed by L2 normalization; a cache-backed
-source serves embeddings exported from a real backbone. Every encoder
-returns a plain float64 array of rows made unit by ``types.normalize_rows``.
+fixed random affine map followed by L2 normalization, computed in float64
+one block of rows at a time and returned as float32, the type the image
+cache stores; a cache-backed source serves embeddings exported from a real
+backbone. Every encoder returns a plain array of rows made unit by
+``types.normalize_rows``: float32 from the vision encoder, float64 from the
+others.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .types import EmbeddingMatrix, PromptBank, check_finite, normalize_rows
+from .types import BLOCK_ROWS, EmbeddingMatrix, PromptBank, check_finite, normalize_rows
 
 # Standard deviation of the seeded Gaussian token vectors.
 TOKEN_SIGMA = 0.25
@@ -264,18 +267,32 @@ class SyntheticVisionEncoder:
         self.bias.setflags(write=False)
 
     def encode(self, features: np.ndarray, names: list | None = None) -> np.ndarray:
-        """(B, D) float64 unit rows, one per feature row; a zero row is named
-        by ``names`` when given, else by its index."""
-        feats = np.asarray(features, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[1] != self.feature_dim:
+        """(B, D) float32 unit rows, one per feature row; a zero row is named
+        by ``names`` when given, else by its index.
+
+        ``BLOCK_ROWS`` rows at a time are checked finite, projected, biased
+        and normalized in float64, then stored as float32, the cache's type.
+        """
+        features = np.asarray(features)
+        if features.ndim != 2 or features.shape[1] != self.feature_dim:
             raise DataError(
-                f"expected features of shape (B, {self.feature_dim}), got {feats.shape}"
+                f"expected features of shape (B, {self.feature_dim}), got {features.shape}"
             )
-        check_finite(feats, "image features")
-        raw = feats @ self.projection.T
-        raw += self.bias
-        normalize_rows(raw, "image embeddings", names)
-        return raw
+        n = features.shape[0]
+        names = range(n) if names is None else names
+        out = np.empty((n, self.embedding_dim), dtype=np.float32)
+        feats_buffer = np.empty((min(n, BLOCK_ROWS), self.feature_dim))
+        raw_buffer = np.empty((min(n, BLOCK_ROWS), self.embedding_dim))
+        for start in range(0, n, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, n)
+            feats = feats_buffer[: stop - start]
+            feats[...] = features[start:stop]
+            check_finite(feats, "image features")
+            raw = np.matmul(feats, self.projection.T, out=raw_buffer[: stop - start])
+            raw += self.bias
+            normalize_rows(raw, "image embeddings", names[start:stop])
+            out[start:stop] = raw
+        return out
 
 
 def check_index_rows(index: dict[str, int], row_count: int) -> None:
@@ -295,14 +312,18 @@ class CachedVisionSource:
     def __post_init__(self):
         check_index_rows(self.index, self.matrix.row_count)
 
-    def encode(self, item_ids: list[str]) -> np.ndarray:
-        """(B, D) float64 unit rows of ``item_ids``, in request order."""
+    def rows(self, item_ids: list[str]) -> np.ndarray:
+        """(B, D) rows of ``item_ids`` as the cache stores them, in request order."""
         try:
-            rows = [self.index[item_id] for item_id in item_ids]
+            positions = [self.index[item_id] for item_id in item_ids]
         except KeyError as e:
             raise DataError(
                 f"item id {e.args[0]!r} not present in the embedding cache index"
             ) from None
-        raw = self.matrix.values[np.asarray(rows, dtype=np.intp)].astype(np.float64)
+        return self.matrix.values[np.asarray(positions, dtype=np.intp)]
+
+    def encode(self, item_ids: list[str]) -> np.ndarray:
+        """(B, D) float64 unit rows of ``item_ids``, in request order."""
+        raw = self.rows(item_ids).astype(np.float64)
         normalize_rows(raw, "cached image embeddings", item_ids)
         return raw

@@ -261,15 +261,19 @@ def read_embedding_cache(path: str | Path) -> EmbeddingMatrix:
 # ── cache index (item_id -> row) ─────────────────────────────────────
 
 def load_cache_index(path: str | Path) -> dict[str, int]:
+    """Read `item_id<TAB>row` lines; a row is ASCII decimal digits only, so
+    the signs, spaces, underscores and non-ASCII digits that ``int`` also
+    takes are rejected."""
     path = Path(path)
     index: dict[str, int] = {}
     for lineno, (item_id, row) in _read_table(path, 2):
         if item_id in index:
             raise DataError(f"{path}:{lineno}: duplicate item id {item_id!r}")
-        try:
-            index[item_id] = int(row)
-        except ValueError as e:
-            raise DataError(f"{path}:{lineno}: row index {row!r} is not an integer") from e
+        if not (row.isascii() and row.isdigit()):
+            raise DataError(
+                f"{path}:{lineno}: row index {row!r} is not a non-negative decimal integer"
+            )
+        index[item_id] = int(row)
     return index
 
 

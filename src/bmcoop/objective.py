@@ -41,7 +41,7 @@ import numpy as np
 
 from .backbone import SyntheticTextEncoder, encode_text_with_context
 from .errors import DataError
-from .types import normalize_rows
+from .types import BLOCK_ROWS, normalize_rows
 
 
 @dataclass
@@ -76,13 +76,31 @@ def _check_width(images: np.ndarray, width: int) -> None:
         )
 
 
-def cosine_logits(images: np.ndarray, text: np.ndarray, tau: float) -> np.ndarray:
-    """(B, C) matrix of cos(text_j, image_i) / tau with explicit normalization."""
+def cosine_logits(
+    images: np.ndarray, text: np.ndarray, tau: float, names: list | None = None
+) -> np.ndarray:
+    """(B, C) matrix of cos(text_j, image_i) / tau with explicit normalization.
+
+    The float32 or float64 image rows are normalized ``BLOCK_ROWS`` at a
+    time in one reused float64 buffer, each block scored as it is done. A
+    zero image row is named by ``names`` when given, else by its index.
+    """
     _check_tau(tau)
-    v_unit, _ = _unit_rows(images, "images")
     t_unit, _ = _unit_rows(text, "class embeddings")
-    _check_width(v_unit, t_unit.shape[1])
-    return (v_unit @ t_unit.T) / tau
+    images = np.asarray(images)
+    _check_width(images, t_unit.shape[1])
+    n = images.shape[0]
+    names = range(n) if names is None else names
+    logits = np.empty((n, t_unit.shape[0]))
+    buffer = np.empty((min(n, BLOCK_ROWS), images.shape[1]))
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
+        block = buffer[: stop - start]
+        block[...] = images[start:stop]
+        normalize_rows(block, "images", names[start:stop])
+        np.matmul(block, t_unit.T, out=logits[start:stop])
+    logits /= tau
+    return logits
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

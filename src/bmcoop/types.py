@@ -15,6 +15,11 @@ from .errors import ConfigError, DataError
 
 SPLITS = ("train", "val", "test")
 
+# Rows per block where many image rows are normalized: each block is copied
+# into one reused float64 buffer, so no full-size float64 copy is made.
+# 1024 was the fastest of the sizes tried on 40k x 512 rows.
+BLOCK_ROWS = 1024
+
 
 def check_finite(values: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(values)):

@@ -12,7 +12,7 @@ from bmcoop.backbone import (
     init_context,
 )
 from bmcoop.errors import DataError
-from bmcoop.types import EmbeddingMatrix, PromptBank
+from bmcoop.types import BLOCK_ROWS, EmbeddingMatrix, PromptBank
 from conftest import per_class_encode, per_class_vjp, per_prompt_encode
 
 
@@ -276,7 +276,31 @@ class TestVisionEncoder:
         x = np.random.default_rng(3).standard_normal((50, 12)) * 4.0
         raw = x @ enc.projection.T + enc.bias
         expected = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        assert np.array_equal(enc.encode(x), expected)
+        # float64 arithmetic, stored as float32: the cast the cache writer made
+        assert np.array_equal(enc.encode(x), expected.astype(np.float32))
+
+    def test_blocks_match_one_shot_formula(self):
+        enc = SyntheticVisionEncoder(seed=7, feature_dim=12, embedding_dim=20)
+        x = np.random.default_rng(4).standard_normal((2 * BLOCK_ROWS + 3, 12)).astype(np.float32)
+        raw = x.astype(np.float64) @ enc.projection.T + enc.bias
+        expected = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        out = enc.encode(x)
+        assert out.dtype == np.float32 and out.shape == expected.shape
+        # block products may round differently in the last float64 bits,
+        # which moves a float32 value by at most one unit in the last place
+        assert np.max(np.abs(out - expected)) <= 2.0**-24
+
+    def test_zero_row_past_the_first_block_is_named(self):
+        enc = SyntheticVisionEncoder(seed=4, feature_dim=6, embedding_dim=10)
+        # no bias, so an all-zero feature row encodes to an exactly zero row
+        enc.bias = np.zeros(10)
+        x = np.random.default_rng(8).standard_normal((BLOCK_ROWS + 5, 6))
+        x[BLOCK_ROWS + 2] = 0.0
+        names = [f"it{i}" for i in range(len(x))]
+        with pytest.raises(DataError, match=f"zero-norm row 'it{BLOCK_ROWS + 2}' in image"):
+            enc.encode(x, names)
+        with pytest.raises(DataError, match=f"zero-norm row {BLOCK_ROWS + 2} in image"):
+            enc.encode(x)
 
     def test_zero_rejected(self):
         # a 1-d map, so that P @ (pinv(P) @ -b) cancels the bias exactly
@@ -335,6 +359,14 @@ class TestCachedVisionSource:
         rows = values[order].astype(np.float64)
         expected = rows / np.linalg.norm(rows, axis=1, keepdims=True)
         assert np.array_equal(source.encode([f"img{i}" for i in order]), expected)
+
+    def test_rows_are_the_stored_rows(self):
+        source = self.make_source()
+        rows = source.rows(["img4", "img1"])
+        assert rows.dtype == np.float32
+        assert np.array_equal(rows, source.matrix.values[[4, 1]])
+        with pytest.raises(DataError, match="img99"):
+            source.rows(["img99"])
 
     def test_index_outside_matrix_rejected(self):
         with pytest.raises(DataError, match="outside"):

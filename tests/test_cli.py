@@ -272,12 +272,17 @@ class TestTrainEval:
         tmp_path, config, config_path = toy_dataset
         cfg = parse_config(config_path)
         catalog, manifest, source = _load_inputs(cfg)
-        images, labels = _eval_split(cfg, manifest, source)
+        images, labels, item_ids = _eval_split(cfg, manifest, source)
         records = [line.split("\t") for line in (tmp_path / "manifest.tsv").read_text().splitlines()]
         test = [(item, name) for item, name, split in records if split == "test"]
         assert labels.dtype == np.intp
         assert list(labels) == [catalog.names.index(name) for _, name in test]
-        assert np.array_equal(images, source.encode([item for item, _ in test]))
+        assert item_ids == [item for item, _ in test]
+        # the cache rows as stored, not yet normalized
+        cache = read_embedding_cache(tmp_path / "images.emb").values
+        index = load_cache_index(tmp_path / "images.idx")
+        assert images.dtype == np.float32
+        assert np.array_equal(images, cache[[index[item] for item in item_ids]])
 
     def test_eval_report_is_deterministic(self, toy_dataset):
         tmp_path, config, config_path = toy_dataset
@@ -673,6 +678,20 @@ class TestExitCodes:
             "epoch", "batch_start", "ce", "sccm", "kdsp", "ctx_norm", "grad_norm",
         }
         assert dump["ctx_norm"] == "inf"
+
+    @pytest.mark.parametrize("command", ["eval", "base-to-novel"])
+    def test_empty_eval_split_is_3(self, toy_dataset, capsys, command):
+        tmp_path, config, config_path = toy_dataset
+        manifest = tmp_path / "manifest.tsv"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(line for line in lines if not line.endswith("\tval\n")))
+        rewrite(config_path, config, eval_split="val")
+        assert run(command, str(config_path)) == 3
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("bmcoop-error")]
+        assert len(errors) == 1
+        assert errors[0].startswith("bmcoop-error category=data ")
+        assert "no items in the eval split" in errors[0]
 
     def test_zero_image_row_is_3_naming_the_item(self, toy_dataset, capsys):
         tmp_path, config, config_path = toy_dataset

@@ -15,6 +15,7 @@ from bmcoop.objective import (
     _ce,
     _log_softmax,
     class_probabilities,
+    cosine_logits,
     loss_gradient,
     predict,
     prepare_support,
@@ -23,6 +24,7 @@ from bmcoop.objective import (
     teacher_log_probs,
     total_loss,
 )
+from bmcoop.types import BLOCK_ROWS
 from conftest import oracle_text_grad, oracle_total_loss, unit_rows
 
 
@@ -84,6 +86,45 @@ class TestClassProbabilities:
             class_probabilities(v, t, 0.01)
         with pytest.raises(DataError, match="zero-norm"):
             class_probabilities(np.zeros((1, 4)), np.ones((2, 4)), 0.01)
+
+
+class TestCosineLogitsBlocks:
+    """Image rows are normalized ``BLOCK_ROWS`` at a time; the result must not
+    depend on where the block boundaries fall."""
+
+    N = 2 * BLOCK_ROWS + 3
+
+    def inputs(self, dtype):
+        rng = np.random.default_rng(21)
+        images = (3.0 * rng.standard_normal((self.N, 16))).astype(dtype)
+        return images, rng.standard_normal((5, 16))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_one_shot_reference(self, dtype):
+        images, text = self.inputs(dtype)
+        v = images.astype(np.float64)
+        v = v / np.linalg.norm(v, axis=1, keepdims=True)
+        t = text / np.linalg.norm(text, axis=1, keepdims=True)
+        reference = (v @ t.T) / 0.01
+        logits = cosine_logits(images, text, 0.01)
+        assert logits.shape == (self.N, 5) and logits.dtype == np.float64
+        # block products may round differently from one (N, D) product
+        assert np.max(np.abs(logits - reference)) <= 1e-12
+        assert np.array_equal(np.argmax(logits, axis=1), np.argmax(reference, axis=1))
+
+    def test_zero_row_in_last_block_is_named(self):
+        images, text = self.inputs(np.float32)
+        images[self.N - 2] = 0.0
+        names = [f"img{i}" for i in range(self.N)]
+        with pytest.raises(DataError, match=f"zero-norm row 'img{self.N - 2}' in images"):
+            cosine_logits(images, text, 0.01, names)
+        with pytest.raises(DataError, match=f"zero-norm row {self.N - 2} in images"):
+            cosine_logits(images, text, 0.01)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_rows_give_an_empty_block(self, dtype):
+        _, text = self.inputs(dtype)
+        assert cosine_logits(np.zeros((0, 16), dtype=dtype), text, 0.01).shape == (0, 5)
 
 
 class TestPredict:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -256,6 +257,15 @@ class TestCacheIndex:
             path.write_text(text)
             with pytest.raises(DataError, match=match):
                 load_cache_index(path)
+
+
+    @pytest.mark.parametrize("row", ["1_0", " 7", "+3", "\u0663", "-1", ""])
+    def test_row_is_ascii_decimal_digits(self, tmp_path, row):
+        # int() takes all of these, as rows 10, 7, 3, 3 and -1
+        path = tmp_path / "index.tsv"
+        path.write_text(f"a\t0\nb\t{row}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f":2: row index {row!r} is not")):
+            load_cache_index(path)
 
 
 class TestPromptBank:
