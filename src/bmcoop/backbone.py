@@ -32,11 +32,13 @@ so ``T Pᵀ`` is projected once and each class costs one (N, V)·(V, D) GEMM.
 Only the context rows ever receive gradients; token vectors and the
 projection are frozen at construction. The synthetic vision encoder is a
 fixed random affine map followed by L2 normalization, computed in float64
-one block of rows at a time and returned as float32, the type the image
-cache stores; a cache-backed source serves embeddings exported from a real
-backbone. Every encoder returns a plain array of rows made unit by
-``types.normalize_rows``: float32 from the vision encoder, float64 from the
-others.
+one block of rows at a time (``types.row_blocks``) and returned as float32,
+the type the image cache stores. A cache-backed source serves embeddings
+exported from a real backbone: ``encode`` returns unit rows of a few item
+ids, and ``positions`` maps item ids to cache rows, so that a whole split
+is scored from the cache matrix in place, block by block. Every encoder
+returns a plain array of rows made unit by ``types.normalize_rows``:
+float32 from the vision encoder, float64 from the others.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .types import BLOCK_ROWS, EmbeddingMatrix, PromptBank, check_finite, normalize_rows
+from .types import EmbeddingMatrix, PromptBank, check_finite, normalize_rows, row_blocks
 
 # Standard deviation of the seeded Gaussian token vectors.
 TOKEN_SIGMA = 0.25
@@ -267,31 +269,26 @@ class SyntheticVisionEncoder:
         self.bias.setflags(write=False)
 
     def encode(self, features: np.ndarray, names: list | None = None) -> np.ndarray:
-        """(B, D) float32 unit rows, one per feature row; a zero row is named
-        by ``names`` when given, else by its index.
-
-        ``BLOCK_ROWS`` rows at a time are checked finite, projected, biased
-        and normalized in float64, then stored as float32, the cache's type.
-        """
+        """(B, D) float32 unit rows, one per feature row; a zero row is named by
+        ``names`` when given, else by its index. Each block of ``types.row_blocks``
+        is checked finite, projected, biased and normalized in float64, then
+        stored as float32, the cache's type."""
         features = np.asarray(features)
         if features.ndim != 2 or features.shape[1] != self.feature_dim:
             raise DataError(
                 f"expected features of shape (B, {self.feature_dim}), got {features.shape}"
             )
-        n = features.shape[0]
-        names = range(n) if names is None else names
-        out = np.empty((n, self.embedding_dim), dtype=np.float32)
-        feats_buffer = np.empty((min(n, BLOCK_ROWS), self.feature_dim))
-        raw_buffer = np.empty((min(n, BLOCK_ROWS), self.embedding_dim))
-        for start in range(0, n, BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, n)
-            feats = feats_buffer[: stop - start]
-            feats[...] = features[start:stop]
+        names = range(len(features)) if names is None else names
+        out = np.empty((len(features), self.embedding_dim), dtype=np.float32)
+        raw_buffer = None
+        for span, feats in row_blocks(features):
             check_finite(feats, "image features")
-            raw = np.matmul(feats, self.projection.T, out=raw_buffer[: stop - start])
+            if raw_buffer is None:  # the first block is the largest
+                raw_buffer = np.empty((len(feats), self.embedding_dim))
+            raw = np.matmul(feats, self.projection.T, out=raw_buffer[: len(feats)])
             raw += self.bias
-            normalize_rows(raw, "image embeddings", names[start:stop])
-            out[start:stop] = raw
+            normalize_rows(raw, "image embeddings", names[span])
+            out[span] = raw
         return out
 
 
@@ -312,18 +309,17 @@ class CachedVisionSource:
     def __post_init__(self):
         check_index_rows(self.index, self.matrix.row_count)
 
-    def rows(self, item_ids: list[str]) -> np.ndarray:
-        """(B, D) rows of ``item_ids`` as the cache stores them, in request order."""
+    def positions(self, item_ids: list[str]) -> np.ndarray:
+        """Row positions of ``item_ids`` in the cache matrix, in request order."""
         try:
-            positions = [self.index[item_id] for item_id in item_ids]
+            return np.array([self.index[item_id] for item_id in item_ids], dtype=np.intp)
         except KeyError as e:
             raise DataError(
                 f"item id {e.args[0]!r} not present in the embedding cache index"
             ) from None
-        return self.matrix.values[np.asarray(positions, dtype=np.intp)]
 
     def encode(self, item_ids: list[str]) -> np.ndarray:
         """(B, D) float64 unit rows of ``item_ids``, in request order."""
-        raw = self.rows(item_ids).astype(np.float64)
+        raw = self.matrix.values[self.positions(item_ids)].astype(np.float64)
         normalize_rows(raw, "cached image embeddings", item_ids)
         return raw

@@ -220,12 +220,15 @@ def _bank_embeddings(cfg: LoadedConfig, catalog: ClassCatalog) -> np.ndarray:
     return cache.values.astype(np.float64).reshape(n_classes, -1, cache.dim)
 
 
-def _eval_split(cfg: LoadedConfig, manifest, source):
-    """The eval split in manifest order: its cache rows as stored (float32,
-    normalized only when scored), their catalog positions and their item ids."""
-    positions = np.flatnonzero(manifest.in_split(cfg.values["eval_split"]))
-    item_ids = [manifest.item_ids[i] for i in positions]
-    return source.rows(item_ids), manifest.labels[positions], item_ids
+def _eval_logits(cfg: LoadedConfig, manifest, source, class_embeds: np.ndarray, tau: float):
+    """Cosine logits of the eval split, in manifest order, against
+    ``class_embeds``, and the split's catalog positions. The split's float32
+    cache rows are scored where they are stored, by row position."""
+    split = np.flatnonzero(manifest.in_split(cfg.values["eval_split"]))
+    item_ids = [manifest.item_ids[i] for i in split]
+    rows = source.positions(item_ids)
+    logits = cosine_logits(source.matrix.values, class_embeds, tau, item_ids, rows)
+    return logits, manifest.labels[split]
 
 
 def _accuracy(logits: np.ndarray, labels: np.ndarray, first: int, stop: int) -> float:
@@ -362,8 +365,6 @@ def cmd_train(cfg: LoadedConfig) -> list[Path]:
 def cmd_eval(cfg: LoadedConfig) -> list[Path]:
     catalog, manifest, source = _load_inputs(cfg)
     handle = _text_handle(cfg)
-    images, labels, item_ids = _eval_split(cfg, manifest, source)
-
     if cfg.values["eval_classifier"] == "ensemble":
         class_embeds = mean_ensemble(_bank_embeddings(cfg, catalog))
     else:
@@ -371,7 +372,7 @@ def cmd_eval(cfg: LoadedConfig) -> list[Path]:
         # no checkpoint: fresh template-initialized context (zero-shot)
         state = trainer.load_checkpoint(ckpt) if ckpt else trainer.initial_state(handle, cfg.run)
         class_embeds, _ = encode_text_with_context(handle, state.ctx, catalog.names)
-    logits = cosine_logits(images, class_embeds, handle.tau, item_ids)
+    logits, labels = _eval_logits(cfg, manifest, source, class_embeds, handle.tau)
     acc = _accuracy(logits, labels, 0, len(catalog))
 
     out = cfg.out_dir() / "eval_report.json"
@@ -393,11 +394,10 @@ def cmd_base_to_novel(cfg: LoadedConfig) -> list[Path]:
     epochs = cfg.run.epochs if "epochs" in cfg.explicit else 50
     state, logs = _train_common(cfg, catalog, manifest, source, handle, slice(cut), epochs)
 
-    images, labels, item_ids = _eval_split(cfg, manifest, source)
     # each class row is encoded on its own, so the base and novel classes are
     # column slices of one scoring of the full catalog
     embeds, _ = encode_text_with_context(handle, state.ctx, catalog.names)
-    logits = cosine_logits(images, embeds, handle.tau, item_ids)
+    logits, labels = _eval_logits(cfg, manifest, source, embeds, handle.tau)
     base_acc = _accuracy(logits, labels, 0, cut)
     novel_acc = _accuracy(logits, labels, cut, len(catalog))
     overall = _accuracy(logits, labels, 0, len(catalog))

@@ -41,7 +41,7 @@ import numpy as np
 
 from .backbone import SyntheticTextEncoder, encode_text_with_context
 from .errors import DataError
-from .types import BLOCK_ROWS, normalize_rows
+from .types import normalize_rows, row_blocks
 
 
 @dataclass
@@ -76,29 +76,22 @@ def _check_width(images: np.ndarray, width: int) -> None:
         )
 
 
-def cosine_logits(
-    images: np.ndarray, text: np.ndarray, tau: float, names: list | None = None
-) -> np.ndarray:
-    """(B, C) matrix of cos(text_j, image_i) / tau with explicit normalization.
-
-    The float32 or float64 image rows are normalized ``BLOCK_ROWS`` at a
-    time in one reused float64 buffer, each block scored as it is done. A
-    zero image row is named by ``names`` when given, else by its index.
-    """
+def cosine_logits(images: np.ndarray, text: np.ndarray, tau: float, names: list | None = None,
+                  positions: np.ndarray | None = None) -> np.ndarray:
+    """(B, C) matrix of cos(text_j, image_i) / tau for the rows ``images[positions]``
+    (every row when ``positions`` is None), normalized and scored block by block
+    in float64 (``types.row_blocks``), so the selection is never copied whole. A
+    zero image row is named by ``names`` (indexed like the result), else by index."""
     _check_tau(tau)
     t_unit, _ = _unit_rows(text, "class embeddings")
     images = np.asarray(images)
     _check_width(images, t_unit.shape[1])
-    n = images.shape[0]
+    n = images.shape[0] if positions is None else len(positions)
     names = range(n) if names is None else names
     logits = np.empty((n, t_unit.shape[0]))
-    buffer = np.empty((min(n, BLOCK_ROWS), images.shape[1]))
-    for start in range(0, n, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n)
-        block = buffer[: stop - start]
-        block[...] = images[start:stop]
-        normalize_rows(block, "images", names[start:stop])
-        np.matmul(block, t_unit.T, out=logits[start:stop])
+    for span, block in row_blocks(images, positions):
+        normalize_rows(block, "images", names[span])
+        np.matmul(block, t_unit.T, out=logits[span])
     logits /= tau
     return logits
 

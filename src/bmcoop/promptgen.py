@@ -26,6 +26,9 @@ QUERY_TEMPLATE = (
     "for distinct medical cases of {class_name} found in {modality}."
 )
 
+# Seconds before the first re-query of a class; each later wait doubles it.
+RETRY_WAIT_S = 1.0
+
 # leading enumerators: "1." / "1)" / "(1)" / "-" / "*" / "•"
 _ENUMERATOR = re.compile(r"^\s*(?:\(?\d+[.)]\s*|[-*•]\s+)")
 
@@ -129,13 +132,12 @@ def fetch_prompts(
     catalog: ClassCatalog,
     n: int,
     fallback_bank: str | None = None,
-    retry_sleep: float = 1.0,
 ) -> PromptBank:
     """Collect exactly ``n`` prompts per catalog class.
 
     A short response or an HTTP 429 or 5xx reply triggers a re-query, at
     most ``max_retries`` of them per class; the wait before re-query k is
-    ``retry_sleep * 2**(k - 1)``. Parsed lines are merged with exact-string
+    ``RETRY_WAIT_S * 2**(k - 1)``. Parsed lines are merged with exact-string
     deduplication. Any other failed request ends the fetch at once. If any
     class still falls short after the last attempt the whole fetch fails,
     listing the deficient classes (or naming the 429 or 5xx that the last
@@ -155,8 +157,8 @@ def fetch_prompts(
         collected: list[str] = []
         seen: set[str] = set()
         for attempt in range(config.max_retries + 1):
-            if attempt > 0 and retry_sleep > 0:
-                time.sleep(retry_sleep * 2 ** (attempt - 1))
+            if attempt > 0:
+                time.sleep(RETRY_WAIT_S * 2 ** (attempt - 1))
             try:
                 content = _post_chat(config, query)
             except _TransientReply as e:

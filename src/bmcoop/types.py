@@ -15,10 +15,22 @@ from .errors import ConfigError, DataError
 
 SPLITS = ("train", "val", "test")
 
-# Rows per block where many image rows are normalized: each block is copied
-# into one reused float64 buffer, so no full-size float64 copy is made.
+# Rows per block of ``row_blocks``, the one loop over many image rows.
 # 1024 was the fastest of the sizes tried on 40k x 512 rows.
 BLOCK_ROWS = 1024
+
+
+def row_blocks(rows: np.ndarray, positions: np.ndarray | None = None):
+    """Yield ``(span, block)`` over ``rows[positions]`` (every row when ``positions``
+    is None), ``BLOCK_ROWS`` at a time: ``span`` is the block's slice of them and
+    ``block`` their float64 copy in one buffer, overwritten by the next block."""
+    n = rows.shape[0] if positions is None else len(positions)
+    buffer = np.empty((min(n, BLOCK_ROWS), rows.shape[1]))
+    for start in range(0, n, BLOCK_ROWS):
+        span = slice(start, min(start + BLOCK_ROWS, n))
+        block = buffer[: span.stop - start]
+        block[...] = rows[span if positions is None else positions[span]]
+        yield span, block
 
 
 def check_finite(values: np.ndarray, what: str) -> None:

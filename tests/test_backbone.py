@@ -360,13 +360,14 @@ class TestCachedVisionSource:
         expected = rows / np.linalg.norm(rows, axis=1, keepdims=True)
         assert np.array_equal(source.encode([f"img{i}" for i in order]), expected)
 
-    def test_rows_are_the_stored_rows(self):
+    def test_positions_are_the_indexed_rows(self):
         source = self.make_source()
-        rows = source.rows(["img4", "img1"])
-        assert rows.dtype == np.float32
-        assert np.array_equal(rows, source.matrix.values[[4, 1]])
-        with pytest.raises(DataError, match="img99"):
-            source.rows(["img99"])
+        positions = source.positions(["img4", "img1", "img4"])
+        assert positions.dtype == np.intp
+        assert positions.tolist() == [4, 1, 4]
+        assert source.positions([]).shape == (0,)
+        with pytest.raises(DataError, match="'img99' not present in the embedding cache index"):
+            source.positions(["img99"])
 
     def test_index_outside_matrix_rejected(self):
         with pytest.raises(DataError, match="outside"):

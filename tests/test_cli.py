@@ -11,7 +11,7 @@ import pytest
 
 from bmcoop import cli
 from bmcoop.backbone import SyntheticTextEncoder, SyntheticVisionEncoder, encode_text_with_context
-from bmcoop.cli import _eval_split, _load_inputs, parse_config, run
+from bmcoop.cli import _eval_logits, _load_inputs, parse_config, run
 from bmcoop.ensemble import mean_ensemble
 from bmcoop.errors import ConfigError
 from bmcoop.evaluation import accuracy
@@ -23,9 +23,9 @@ from bmcoop.io import (
     write_embedding_cache,
     write_prompt_bank,
 )
-from bmcoop.objective import class_probabilities, predict
+from bmcoop.objective import class_probabilities, cosine_logits, predict
 from bmcoop.trainer import TrainState, load_checkpoint, save_checkpoint
-from bmcoop.types import PromptBank
+from bmcoop.types import BLOCK_ROWS, PromptBank
 from conftest import (
     DESK_DIM,
     DESK_ENCODER_SEED,
@@ -268,21 +268,21 @@ class TestTrainEval:
             predicted = predict(class_probabilities(images, embeds, 0.01))
             assert doc["accuracies"] == [accuracy(predicted, labels)], classifier
 
-    def test_eval_split_labels_are_catalog_positions(self, toy_dataset):
+    def test_eval_logits_score_the_indexed_cache_rows(self, toy_dataset):
         tmp_path, config, config_path = toy_dataset
         cfg = parse_config(config_path)
         catalog, manifest, source = _load_inputs(cfg)
-        images, labels, item_ids = _eval_split(cfg, manifest, source)
+        embeds = np.random.default_rng(3).standard_normal((len(catalog), DESK_DIM))
+        logits, labels = _eval_logits(cfg, manifest, source, embeds, 0.01)
         records = [line.split("\t") for line in (tmp_path / "manifest.tsv").read_text().splitlines()]
         test = [(item, name) for item, name, split in records if split == "test"]
         assert labels.dtype == np.intp
         assert list(labels) == [catalog.names.index(name) for _, name in test]
-        assert item_ids == [item for item, _ in test]
-        # the cache rows as stored, not yet normalized
+        # the stored rows of the split's item ids, in manifest order
         cache = read_embedding_cache(tmp_path / "images.emb").values
         index = load_cache_index(tmp_path / "images.idx")
-        assert images.dtype == np.float32
-        assert np.array_equal(images, cache[[index[item] for item in item_ids]])
+        rows = cache[[index[item] for item, _ in test]]
+        assert np.array_equal(logits, cosine_logits(rows, embeds, 0.01))
 
     def test_eval_report_is_deterministic(self, toy_dataset):
         tmp_path, config, config_path = toy_dataset
@@ -703,6 +703,35 @@ class TestExitCodes:
                  if line.startswith("bmcoop-error")]
         assert len(lines) == 1
         assert "category=data" in lines[0] and "'test-glioma-3'" in lines[0]
+
+    def test_zero_cache_row_past_the_first_block_is_3(self, tmp_path, capsys):
+        # eval items in manifest order sit at shuffled cache rows, and the
+        # zero row is the eval split's item BLOCK_ROWS + 7
+        n = BLOCK_ROWS + 20
+        (tmp_path / "catalog.tsv").write_text("glioma\tMRI\nmeningioma\tMRI\n")
+        items = [f"scan-{i}" for i in range(n)]
+        (tmp_path / "manifest.tsv").write_text("".join(
+            f"train-{i}\tglioma\ttrain\n" for i in range(3)
+        ) + "".join(f"{item}\t{('glioma', 'meningioma')[i % 2]}\ttest\n"
+                    for i, item in enumerate(items)))
+        order = np.random.default_rng(5).permutation(n + 3)
+        index = dict(zip([f"train-{i}" for i in range(3)] + items, order.tolist()))
+        values = np.random.default_rng(6).standard_normal((n + 3, 8)).astype(np.float32)
+        values[index[items[BLOCK_ROWS + 7]]] = 0.0
+        write_embedding_cache(EmbeddingMatrix(values=values), tmp_path / "images.emb")
+        write_cache_index(index, tmp_path / "images.idx")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "catalog": str(tmp_path / "catalog.tsv"), "manifest": str(tmp_path / "manifest.tsv"),
+            "image_cache": str(tmp_path / "images.emb"), "image_index": str(tmp_path / "images.idx"),
+            "out_dir": str(tmp_path / "out"), "embedding_dim": 8,
+        }))
+        assert run("eval", str(config_path)) == 3
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("bmcoop-error")]
+        assert len(lines) == 1
+        assert lines[0].startswith("bmcoop-error category=data ")
+        assert f"'scan-{BLOCK_ROWS + 7}'" in lines[0]
 
     @pytest.mark.parametrize("key,value", [
         ("llm_max_retries", -1), ("llm_max_retries", 2.5), ("llm_max_retries", float("nan")),

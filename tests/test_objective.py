@@ -126,6 +126,24 @@ class TestCosineLogitsBlocks:
         _, text = self.inputs(dtype)
         assert cosine_logits(np.zeros((0, 16), dtype=dtype), text, 0.01).shape == (0, 5)
 
+    def test_positions_score_the_gathered_rows(self):
+        images, text = self.inputs(np.float32)
+        names = [f"img{i}" for i in range(self.N)]
+        positions = np.random.default_rng(22).integers(0, self.N, size=self.N)
+        for chosen in (positions, positions[:0]):
+            got = cosine_logits(images, text, 0.01, names, chosen)
+            assert np.array_equal(got, cosine_logits(images[chosen], text, 0.01, names))
+        assert cosine_logits(images, text, 0.01, names, positions[:0]).shape == (0, 5)
+
+    def test_zero_row_at_a_position_in_the_second_block_is_named(self):
+        images, text = self.inputs(np.float32)
+        positions = np.arange(self.N)[::-1].copy()
+        # result row BLOCK_ROWS + 4 reads cache row N - 1 - (BLOCK_ROWS + 4)
+        images[self.N - 1 - (BLOCK_ROWS + 4)] = 0.0
+        item_ids = [f"item{i}" for i in positions]
+        with pytest.raises(DataError, match=f"zero-norm row 'item{self.N - 5 - BLOCK_ROWS}'"):
+            cosine_logits(images, text, 0.01, item_ids, positions)
+
 
 class TestPredict:
     def test_argmax(self):

@@ -27,6 +27,14 @@ ENDPOINT = LlmEndpointConfig(
 )
 
 
+@pytest.fixture(autouse=True)
+def sleeps(monkeypatch):
+    """Every wait between re-queries, recorded instead of slept."""
+    waits = []
+    monkeypatch.setattr(promptgen.time, "sleep", waits.append)
+    return waits
+
+
 class TestBuildQuery:
     def test_template_with_slots_filled(self):
         q = build_query("glioma tumor", "MRI", 50)
@@ -104,7 +112,7 @@ class TestFetchPrompts:
             return reply(responses.pop(0))
 
         monkeypatch.setattr(promptgen, "post_json", fake_post)
-        bank = fetch_prompts(ENDPOINT, CATALOG, 50, retry_sleep=0.0)
+        bank = fetch_prompts(ENDPOINT, CATALOG, 50)
         prompts = bank.prompts["glioma tumor"]
         assert len(prompts) == 50
         assert len(set(prompts)) == 50
@@ -116,7 +124,7 @@ class TestFetchPrompts:
 
         monkeypatch.setattr(promptgen, "post_json", fake_post)
         with pytest.raises(NetworkError, match="glioma tumor"):
-            fetch_prompts(ENDPOINT, CATALOG, 50, retry_sleep=0.0)
+            fetch_prompts(ENDPOINT, CATALOG, 50)
 
     def test_offline_fallback_skips_network(self, monkeypatch, tmp_path):
         def explode(*args, **kwargs):
@@ -143,7 +151,7 @@ class TestFetchPrompts:
 
         monkeypatch.setattr(promptgen, "post_json", fake_post)
         with pytest.raises(NetworkError, match="timed out"):
-            fetch_prompts(ENDPOINT, CATALOG, 5, retry_sleep=0.0)
+            fetch_prompts(ENDPOINT, CATALOG, 5)
 
     def test_no_credentials_in_bank_or_logs(self, monkeypatch, api_key, tmp_path, caplog):
         def fake_post(url, payload, headers, timeout):
@@ -213,31 +221,30 @@ class TestHttpPost:
         assert payload["model"] == "test-model"
         assert payload["messages"][0]["content"] == build_query("glioma tumor", "MRI", 2)
 
-    def test_server_error_is_network_error(self, local_endpoint, api_key, monkeypatch):
+    def test_server_error_is_network_error(self, local_endpoint, api_key, sleeps):
         endpoint, replies, received = local_endpoint
-        sleeps = []
-        monkeypatch.setattr(promptgen.time, "sleep", sleeps.append)
         replies.extend([(503, {"error": "overloaded"})] * (endpoint.max_retries + 1))
         with pytest.raises(NetworkError, match="503"):
-            fetch_prompts(endpoint, CATALOG, 2, retry_sleep=0.5)
+            fetch_prompts(endpoint, CATALOG, 2)
         # every attempt of the budget was spent, each wait twice the one before
         assert len(received) == endpoint.max_retries + 1
-        assert sleeps == [0.5, 1.0, 2.0]
+        assert sleeps == [1.0, 2.0, 4.0]
 
     @pytest.mark.parametrize("status", [429, 500, 503])
-    def test_transient_error_then_success(self, local_endpoint, api_key, status):
+    def test_transient_error_then_success(self, local_endpoint, api_key, status, sleeps):
         endpoint, replies, received = local_endpoint
         replies.append((status, {"error": "try later"}))
         replies.append((200, reply(numbered(["finding a", "finding b"]))))
-        bank = fetch_prompts(endpoint, CATALOG, 2, retry_sleep=0.0)
+        bank = fetch_prompts(endpoint, CATALOG, 2)
         assert bank.prompts["glioma tumor"] == ["finding a", "finding b"]
         assert len(received) == 2
+        assert sleeps == [promptgen.RETRY_WAIT_S]
 
     def test_client_error_fails_at_once(self, local_endpoint, api_key):
         endpoint, replies, received = local_endpoint
         replies.append((401, {"error": "bad key"}))
         with pytest.raises(NetworkError, match="401"):
-            fetch_prompts(endpoint, CATALOG, 2, retry_sleep=0.0)
+            fetch_prompts(endpoint, CATALOG, 2)
         assert len(received) == 1
 
 

@@ -33,12 +33,14 @@ from bmcoop.trainer import (
     save_checkpoint,
 )
 from bmcoop.types import (
+    BLOCK_ROWS,
     SPLITS,
     ClassCatalog,
     EmbeddingMatrix,
     PromptBank,
     RunConfig,
     normalize_rows,
+    row_blocks,
 )
 
 
@@ -381,6 +383,30 @@ class TestNormalizeRows:
             normalize_rows(rows.copy(), "cached image embeddings", ["img0", "img1", "img2"])
         with pytest.raises(DataError, match="zero-norm row 1 in images"):
             normalize_rows(rows.copy(), "images")
+
+
+class TestRowBlocks:
+    def test_positions_give_the_selected_rows_block_by_block(self):
+        rng = np.random.default_rng(7)
+        rows = rng.standard_normal((40, 6)).astype(np.float32)
+        # unsorted, with repeats, and more of them than there are rows
+        positions = rng.integers(0, 40, size=2 * BLOCK_ROWS + 3)
+        expected = rows[positions].astype(np.float64)
+        spans, buffers, got = [], set(), []
+        for span, block in row_blocks(rows, positions):
+            assert block.dtype == np.float64
+            assert np.array_equal(block, expected[span])
+            spans.append((span.start, span.stop))
+            buffers.add(block.__array_interface__["data"][0])
+            got.append(block.copy())
+        assert spans == [(0, BLOCK_ROWS), (BLOCK_ROWS, 2 * BLOCK_ROWS),
+                         (2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 3)]
+        assert len(buffers) == 1  # one buffer, reused by every block
+        assert np.array_equal(np.concatenate(got), expected)
+        # no positions select every row; an empty selection gives no block
+        every = np.concatenate([block.copy() for _, block in row_blocks(rows)])
+        assert np.array_equal(every, rows.astype(np.float64))
+        assert list(row_blocks(rows, positions[:0])) == []
 
 
 class TestRunConfig:
