@@ -11,14 +11,17 @@ written by hand and checked against finite differences:
 Pooling is a linear mean, so for class c with n_c the sum of its name
 token vectors and L_c = M + (name tokens) the sequence length,
 
-    raw_c = (P·Σctx + P·n_c) / L_c
+    raw_c = (s + P·n_c) / L_c,    s = P·Σctx
 
-``P·n_c`` is fixed for the run; the encoder memoises the stacked (C, D)
-rows and the (C,) name token counts per class list, so encoding all C
-classes costs one mat-vec ``P·Σctx`` plus a (C, D) normalization.
-The context is a plain (M, d_tok) float64 array. Every context row
-receives the same gradient, so the tape returns that one (d_tok,) row,
-the M rows move in lockstep and only Σctx matters to the embeddings.
+The (M, d_tok) context reaches every class only through the D-vector
+``s`` (``project_context``), so ``s`` is what training updates. ``P·n_c``
+is fixed for the run; the encoder memoises the stacked (C, D) rows and the
+(C,) name token counts per class list, so encoding all C classes from
+``s`` costs (C, D) adds and one normalization. Every context row receives
+the same gradient ``Pᵀh``, with ``h`` the (D,) vector the tape returns, so
+one SGD step moves ``s`` by ``-lr·M·K·h`` with ``K = P·Pᵀ`` (``gram``,
+D x D, built once per encoder). The trainer forms the context itself only
+when it stores it.
 
 The prompt bank has no context, and every prompt is frozen, so the whole
 bank is encoded from one table. With ``T`` the (V, W) token vectors of the
@@ -67,19 +70,16 @@ def _hash_seed(*parts: str) -> int:
 class TextGradTape:
     """Closure over one encoding of all classes, exposing the exact vector-Jacobian product.
 
-    The forward pass was ``raw_c = (P·Σctx + P·n_c) / L_c`` and
-    ``u_c = raw_c / ||raw_c||``. Mean pooling gives each of the M context
-    rows the same gradient, so ``vjp(g)`` maps dLoss/dEmbeddings (C x D)
-    to that one shared (d_tok,) row of dLoss/dContext with one mat-vec:
+    The forward pass was ``raw_c = (s + P·n_c) / L_c`` and
+    ``u_c = raw_c / ||raw_c||``. ``vjp(g)`` maps dLoss/dEmbeddings (C x D)
+    to dLoss/ds, the (D,) vector
 
-        row = P.T @ Σ_c g_raw_c / L_c,   g_raw_c = (g_c - (g_c·u_c) u_c) / ||raw_c||
+        h = Σ_c g_raw_c / L_c,   g_raw_c = (g_c - (g_c·u_c) u_c) / ||raw_c||
 
-    The full (M x d_tok) gradient is ``row`` in every row; an update
-    broadcasts it. Tapes are single-use bookkeeping, not shared across
-    threads.
+    Mean pooling gives each of the M context rows the same gradient
+    ``Pᵀh``. Tapes are single-use bookkeeping, not shared across threads.
     """
 
-    projection: np.ndarray  # (D, d_tok), frozen
     unit: np.ndarray        # (C, D) embeddings after normalization
     raw_norm: np.ndarray    # (C,) ||raw_c|| before normalization
     seq_len: np.ndarray     # (C,) context rows + class-name tokens
@@ -90,7 +90,7 @@ class TextGradTape:
             raise DataError(f"gradient has shape {g.shape}, embeddings have {self.unit.shape}")
         radial = np.einsum("cd,cd->c", g, self.unit)
         g_raw = (g - radial[:, None] * self.unit) / self.raw_norm[:, None]
-        return self.projection.T @ (g_raw / self.seq_len[:, None]).sum(axis=0)
+        return (g_raw / self.seq_len[:, None]).sum(axis=0)
 
 
 class SyntheticTextEncoder:
@@ -116,6 +116,7 @@ class SyntheticTextEncoder:
         self.projection.setflags(write=False)
         self._token_cache: dict[str, np.ndarray] = {}
         self._block_cache: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self._gram: np.ndarray | None = None
 
     def tokenize(self, text: str) -> list[str]:
         return text.split()
@@ -149,10 +150,20 @@ class SyntheticTextEncoder:
             cached = self._block_cache[key] = (rows, counts)
         return cached
 
+    def gram(self) -> np.ndarray:
+        """Read-only ``K = P·Pᵀ`` (D x D), built on the first call and memoised:
+        an SGD step on ``s`` is ``-lr·M·K·h``."""
+        if self._gram is None:
+            self._gram = self.projection @ self.projection.T
+            self._gram.setflags(write=False)
+        return self._gram
+
     def parameter_digest(self) -> str:
-        """Stable digest of the frozen parameters, for freeze checks."""
+        """Stable digest of the frozen parameters, for freeze checks and as the
+        encoder identity a checkpoint carries."""
         h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.projection).tobytes())
+        # hashed in place: a bytes copy would add 3 MB to a stage's peak at paper shape
+        h.update(np.ascontiguousarray(self.projection))
         h.update(str(self.seed).encode())
         return h.hexdigest()
 
@@ -180,32 +191,37 @@ def init_context(handle: SyntheticTextEncoder, init_text: str, length: int) -> n
     return rows.astype(np.float64)
 
 
-def encode_text_with_context(
-    handle: SyntheticTextEncoder,
-    ctx: np.ndarray,
-    class_names: list[str],
-) -> tuple[np.ndarray, TextGradTape]:
-    """Encode [context ; class-name tokens] for every class: (C, D) unit rows
-    plus one tape. ``ctx`` is the (M, d_tok) context."""
-    length, width = ctx.shape
+def project_context(handle: SyntheticTextEncoder, ctx: np.ndarray) -> np.ndarray:
+    """``s = P·Σctx``, the (D,) vector through which the (M, d_tok) context
+    ``ctx`` reaches every class."""
+    width = ctx.shape[1]
     if width != handle.token_width:
         raise DataError(
             f"context width {width} does not match handle width {handle.token_width}"
+        )
+    return handle.projection @ ctx.sum(axis=0)
+
+
+def encode_text_with_context(
+    handle: SyntheticTextEncoder,
+    s: np.ndarray,
+    length: int,
+    class_names: list[str],
+) -> tuple[np.ndarray, TextGradTape]:
+    """Encode [context ; class-name tokens] for every class: (C, D) unit rows
+    plus one tape. ``s`` is ``project_context`` of a context of ``length`` rows."""
+    if s.shape != (handle.embedding_dim,):
+        raise DataError(
+            f"context embedding has shape {s.shape}, not the handle width "
+            f"({handle.embedding_dim},)"
         )
     if not class_names:
         raise DataError("no class names to encode")
     name_rows, name_tokens = handle.name_block(class_names)
     seq_len = length + name_tokens
-    ctx_raw = handle.projection @ ctx.sum(axis=0)
-    unit = (ctx_raw + name_rows) / seq_len[:, None]
+    unit = (s + name_rows) / seq_len[:, None]
     norms = normalize_rows(unit, "class embeddings", class_names)
-    tape = TextGradTape(
-        projection=handle.projection,
-        unit=unit,
-        raw_norm=norms,
-        seq_len=seq_len,
-    )
-    return unit, tape
+    return unit, TextGradTape(unit=unit, raw_norm=norms, seq_len=seq_len)
 
 
 def encode_text_bank(

@@ -33,6 +33,7 @@ from .backbone import (
     check_index_rows,
     encode_text_bank,
     encode_text_with_context,
+    project_context,
 )
 from .ensemble import mean_ensemble, write_score_report
 from .errors import BmcoopError, ConfigError, DataError, NumericError
@@ -370,8 +371,14 @@ def cmd_eval(cfg: LoadedConfig) -> list[Path]:
     else:
         ckpt = cfg.path("checkpoint")
         # no checkpoint: fresh template-initialized context (zero-shot)
-        state = trainer.load_checkpoint(ckpt) if ckpt else trainer.initial_state(handle, cfg.run)
-        class_embeds, _ = encode_text_with_context(handle, state.ctx, catalog.names)
+        if ckpt:
+            state = trainer.load_checkpoint(ckpt)
+            trainer.check_encoder(state, handle)
+        else:
+            state = trainer.initial_state(handle, cfg.run)
+        # the stored context, projected once
+        s = project_context(handle, state.ctx)
+        class_embeds, _ = encode_text_with_context(handle, s, len(state.ctx), catalog.names)
     logits, labels = _eval_logits(cfg, manifest, source, class_embeds, handle.tau)
     acc = _accuracy(logits, labels, 0, len(catalog))
 
@@ -396,7 +403,7 @@ def cmd_base_to_novel(cfg: LoadedConfig) -> list[Path]:
 
     # each class row is encoded on its own, so the base and novel classes are
     # column slices of one scoring of the full catalog
-    embeds, _ = encode_text_with_context(handle, state.ctx, catalog.names)
+    embeds, _ = encode_text_with_context(handle, state.s, len(state.ctx), catalog.names)
     logits, labels = _eval_logits(cfg, manifest, source, embeds, handle.tau)
     base_acc = _accuracy(logits, labels, 0, cut)
     novel_acc = _accuracy(logits, labels, cut, len(catalog))

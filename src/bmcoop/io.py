@@ -205,21 +205,29 @@ def write_binary(
 
 
 def read_binary(
-    path: str | Path, magic: bytes, what: str, n_fields: int = 0
+    path: str | Path, magic: bytes, what: str, n_fields: int = 0, stage: str = ""
 ) -> tuple[tuple[int, ...], np.ndarray, bytes]:
     """Read a file written by ``write_binary`` with ``n_fields`` leading header
     fields: (those fields, the (rows, width) float32 payload, the trailer).
 
     A file that is not ``what``, a short header, a width of 0 or a short
-    payload is a ``DataError`` naming ``path``. The size is checked before
-    the payload is allocated, and the payload is read straight into it.
+    payload is a ``DataError`` naming ``path``. A magic ends in its format
+    version, so a file of another version is named as one, with the
+    ``stage`` that writes the current one. The size is checked before the
+    payload is allocated, and the payload is read straight into it.
     """
     path = Path(path)
     header = struct.Struct(f"<{n_fields + 2}I")
     try:
         with open(path, "rb") as fh:
             head = fh.read(len(magic) + header.size)
-            if head[: len(magic)] != magic:
+            found_magic = head[: len(magic)]
+            if found_magic != magic:
+                if stage and len(found_magic) == len(magic) and found_magic[:-1] == magic[:-1]:
+                    raise DataError(
+                        f"{path}: {what} in format {found_magic!r}, this version reads "
+                        f"{magic!r}; re-run {stage}"
+                    )
                 raise DataError(f"{path}: bad magic, not {what}")
             if len(head) < len(magic) + header.size:
                 raise DataError(f"{path}: truncated header")

@@ -14,23 +14,20 @@ A training run derives each shared quantity once:
 
   once per run   ``prepare_support`` checks tau, the labels and the
                  widths, and normalizes the support rows and the teacher
-                 ensemble (neither changes during a run); a step indexes
-                 its batch rows out of the support
-  once per step  one class-text encode, one normalization of the class
-                 embeddings, one (B, C) cosine block and one student
-                 log-softmax, held in a ``StudentScores`` that every loss
-                 and gradient term reads, and one (B, C) teacher
-                 log-softmax
-
-The teacher log-softmax stays per step on purpose: a (B, D) x (D, C)
-product is computed by BLAS kernels chosen by the row count, so scoring
-the whole support at once rounds some teacher logits differently from
-the batch product and would change the bits of every artifact.
+                 ensemble (neither changes during a run); the trainer then
+                 scores the teacher log-softmax of the whole support once
+                 (``teacher_log_probs``), and a step indexes its batch rows
+                 out of both
+  once per step  one class-text encode, whose unit rows are scored as
+                 they are (no second normalization), one (B, C) cosine
+                 block and one student log-softmax, held in a
+                 ``StudentScores`` that every loss and gradient term reads
 
 Gradients with respect to the context are exact and hand-written: each
 loss is differentiated to dLoss/dTextEmbedding and chained through the
-encoder's one tape over all classes. The teacher ensemble and all bank embeddings
-contribute zero gradient.
+encoder's one tape over all classes to dLoss/ds, ``s`` the projected
+context sum that training updates. The teacher ensemble and all bank
+embeddings contribute zero gradient.
 """
 
 from __future__ import annotations
@@ -138,8 +135,7 @@ def prepare_support(
     """The run-constant side of the objective, with every input check.
 
     Returns the unit support rows, the labels as checked class positions
-    and the unit teacher rows (None without a teacher). A step passes its
-    batch rows of the first two, and the teacher rows, to ``loss_gradient``.
+    and the unit teacher rows (None without a teacher).
     """
     _check_tau(tau)
     v_unit, _ = _unit_rows(images, "images")
@@ -157,7 +153,8 @@ def prepare_support(
 
 
 def teacher_log_probs(v_unit: np.ndarray, teacher_unit: np.ndarray, tau: float) -> np.ndarray:
-    """(B, C) teacher log-softmax of unit image rows against unit teacher rows."""
+    """(B, C) teacher log-softmax of unit image rows against unit teacher rows;
+    a row does not depend on the others, so a run scores its support once."""
     return _log_softmax((v_unit @ teacher_unit.T) / tau)
 
 
@@ -175,8 +172,12 @@ class StudentScores:
 
 
 def student_scores(v_unit: np.ndarray, text: np.ndarray, tau: float) -> StudentScores:
-    """Score unit image rows against the class embeddings ``text``."""
+    """Score unit image rows against the class embeddings ``text``, normalized here."""
     t_unit, t_norms = _unit_rows(text, "class embeddings")
+    return _scores(v_unit, text, t_unit, t_norms, tau)
+
+
+def _scores(v_unit, text, t_unit, t_norms, tau) -> StudentScores:
     cos = v_unit @ t_unit.T
     return StudentScores(text, v_unit, t_unit, t_norms, cos, _log_softmax(cos / tau), tau)
 
@@ -268,28 +269,29 @@ def kdsp_grad_wrt_text(scores: StudentScores, log_teacher: np.ndarray) -> np.nda
 
 def loss_gradient(
     handle: SyntheticTextEncoder,
-    ctx: np.ndarray,
+    s: np.ndarray,
+    length: int,
     class_names: list[str],
     v_unit: np.ndarray,
     labels: np.ndarray,
     ensemble_mean: np.ndarray | None,
-    teacher_unit: np.ndarray | None,
+    log_teacher: np.ndarray | None,
     lambda1: float,
     lambda2: float,
 ) -> tuple[LossBreakdown, np.ndarray]:
-    """Loss breakdown plus the exact gradient of the total w.r.t. the
-    (M, d_tok) context ``ctx``: the one (d_tok,) row every context row shares.
+    """Loss breakdown plus the exact gradient ``h`` of the total w.r.t. ``s``,
+    the projected sum of a context of ``length`` rows; every context row's
+    gradient is ``Pᵀh``.
 
-    ``v_unit`` and ``labels`` are a batch's rows, and ``teacher_unit`` the
-    teacher rows, of what ``prepare_support`` returns. Terms with a zero
-    weight are skipped entirely, so a lambda1=lambda2=0 call follows the
-    exact same arithmetic as a CE-only objective.
+    ``v_unit`` and ``labels`` are a batch's rows of what ``prepare_support``
+    returns, and ``log_teacher`` the same rows of ``teacher_log_probs`` over
+    the support. Terms with a zero weight are skipped entirely, so a
+    lambda1=lambda2=0 call follows the exact same arithmetic as a CE-only
+    objective.
     """
-    text, tape = encode_text_with_context(handle, ctx, class_names)
-    scores = student_scores(v_unit, text, handle.tau)
-    log_teacher = None
-    if teacher_unit is not None:
-        log_teacher = teacher_log_probs(v_unit, teacher_unit, handle.tau)
+    text, tape = encode_text_with_context(handle, s, length, class_names)
+    # the encoder's rows are unit already, so they are scored as they are
+    scores = _scores(v_unit, text, text, np.ones(len(text)), handle.tau)
     breakdown = total_loss(scores, labels, ensemble_mean, log_teacher, lambda1, lambda2)
     grad_text = ce_grad_wrt_text(scores, labels)
     if lambda1 != 0.0:

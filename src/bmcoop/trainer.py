@@ -1,12 +1,17 @@
 """Few-shot support sampling, the SGD loop over the context, and checkpoints.
 
 Everything here is deterministic under (seed, config, inputs): shuffling
-uses a dedicated PCG64 generator whose state travels inside checkpoints,
-and the context is rounded to float32 after every update so the float32
-checkpoint payload round-trips bit-exactly and a resumed run retraces an
-uninterrupted one. A checkpoint is the context in the binary layout of
-``io`` with the epoch and the generator state as its trailer. A loss or a
-context that stops being finite ends the run with a ``NumericError``.
+uses a dedicated PCG64 generator whose state travels inside checkpoints.
+The context reaches the classes only through ``s = P·Σctx``
+(``backbone``), so a step updates the float64 D-vector ``s`` by
+``-lr·M·K·h`` and adds its gradient ``h`` to the running sum ``H``. The
+(M, d_tok) context, ``ctx0 - lr·PᵀH`` in every row, is formed only at the
+end of each epoch, rounded to the float32 it is stored as. A checkpoint is
+that context in the binary layout of ``io``, with a trailer of the epoch,
+the text-encoder digest, ``s`` and ``H`` in float64 and the generator
+state, so a resumed run retraces an uninterrupted one bit for bit. A loss
+or a stored context that stops being finite ends the run with a
+``NumericError``.
 """
 
 from __future__ import annotations
@@ -17,7 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import SyntheticTextEncoder, encode_text_with_context, init_context
+from .backbone import (
+    SyntheticTextEncoder,
+    encode_text_with_context,
+    init_context,
+    project_context,
+)
 from .ensemble import PromptScoreReport, mean_ensemble, score_and_select, selected_ensemble
 from .errors import DataError, NumericError
 from .io import read_binary, write_binary, write_text
@@ -27,11 +37,12 @@ from .objective import (
     loss_gradient,
     predict,
     prepare_support,
+    teacher_log_probs,
 )
 from .types import ClassCatalog, DatasetManifest, RunConfig, check_finite
 
-CKPT_MAGIC = b"BMCCKPT1"
-CKPT_VERSION = 1
+CKPT_MAGIC = b"BMCCKPT2"
+CKPT_VERSION = 2
 
 
 def sample_few_shot(
@@ -69,9 +80,13 @@ def sample_few_shot(
 
 @dataclass
 class TrainState:
-    """Mutable training state: the learnable context, the next epoch, the shuffle RNG."""
+    """Mutable training state: the step's ``s`` and ``H``, the stored
+    context, the encoder they belong to, the next epoch, the shuffle RNG."""
 
-    ctx: np.ndarray  # (M, d_tok) float64
+    ctx: np.ndarray    # (M, d_tok) float64 holding float32 values: the context as stored
+    s: np.ndarray      # (D,) float64 P·Σctx
+    h_sum: np.ndarray  # (D,) float64 H, the sum of every step's gradient h
+    encoder: str       # SyntheticTextEncoder.parameter_digest() of the encoder
     epoch: int
     rng: np.random.Generator
 
@@ -90,14 +105,37 @@ class EpochLog:
         )
 
 
-def _round_f32(vectors: np.ndarray) -> np.ndarray:
-    # trainer storage precision: keep every value exactly float32-representable
-    return vectors.astype(np.float32).astype(np.float64)
+def _stored_context(ctx0: np.ndarray, step_sum: np.ndarray) -> np.ndarray:
+    """``ctx0 - step_sum`` in every row, as the float32 values a checkpoint stores."""
+    return (ctx0 - step_sum).astype(np.float32).astype(np.float64)
 
 
 def initial_state(handle: SyntheticTextEncoder, config: RunConfig) -> TrainState:
-    ctx = _round_f32(init_context(handle, config.context_init_text, config.context_length))
-    return TrainState(ctx=ctx, epoch=0, rng=np.random.default_rng(config.seed))
+    ctx0 = init_context(handle, config.context_init_text, config.context_length)
+    return TrainState(
+        ctx=_stored_context(ctx0, 0.0),
+        s=project_context(handle, ctx0),
+        h_sum=np.zeros(handle.embedding_dim),
+        encoder=handle.parameter_digest(),
+        epoch=0,
+        rng=np.random.default_rng(config.seed),
+    )
+
+
+def check_encoder(state: TrainState, handle: SyntheticTextEncoder) -> None:
+    """Reject a state that was not trained under the text encoder ``handle``."""
+    if state.ctx.shape[1] != handle.token_width or state.s.shape != (handle.embedding_dim,):
+        raise DataError(
+            f"checkpoint context width {state.ctx.shape[1]} and embedding width "
+            f"{len(state.s)} do not match handle widths {handle.token_width} and "
+            f"{handle.embedding_dim}"
+        )
+    digest = handle.parameter_digest()
+    if state.encoder != digest:
+        raise DataError(
+            f"checkpoint was trained under text encoder {state.encoder}, "
+            f"not this config's {digest}"
+        )
 
 
 def prepare_ensembles(
@@ -135,49 +173,61 @@ def train_run(
 
     Passing a ``state`` (fresh or loaded from a checkpoint) resumes at
     ``state.epoch``; the returned logs cover only the epochs run here.
-    Malformed support rows, labels or teacher rows, and a non-positive
-    tau, raise a ``DataError`` before the first step; a non-finite loss or
-    context raises a ``NumericError`` carrying the last step's state.
+    A state of another encoder, malformed support rows, labels or teacher
+    rows, and a non-positive tau, raise a ``DataError`` before the first
+    step; a non-finite loss or stored context raises a ``NumericError``
+    carrying the last step's state.
     """
     if state is None:
         state = initial_state(handle, config)
-    if state.ctx.shape[1] != handle.token_width:
-        raise DataError(
-            f"checkpoint context width {state.ctx.shape[1]} does not match "
-            f"handle width {handle.token_width}"
-        )
+    else:
+        check_encoder(state, handle)
 
     v_unit, labels, teacher_unit = prepare_support(
         images, labels, len(class_names), handle.embedding_dim, handle.tau, teacher_ensemble,
     )
+    log_teacher = None
+    if teacher_unit is not None:
+        log_teacher = teacher_log_probs(v_unit, teacher_unit, handle.tau)
     n = v_unit.shape[0]
+    length = len(state.ctx)
+    ctx0 = init_context(handle, config.context_init_text, length)
+    lr = config.learning_rate
+
+    def context() -> np.ndarray:  # ctx0 - lr·PᵀH, as stored
+        return _stored_context(ctx0, lr * (handle.projection.T @ state.h_sum))
+
     logs: list[EpochLog] = []
 
     for epoch in range(state.epoch, config.epochs):
+        gram = handle.gram()  # built at the first step, so an empty run never builds it
         order = state.rng.permutation(n)
         sums = np.zeros(3)  # sample-weighted ce / sccm / kdsp
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            breakdown, grad = loss_gradient(
-                handle, state.ctx, class_names,
+            breakdown, h = loss_gradient(
+                handle, state.s, length, class_names,
                 v_unit[batch], labels[batch],
-                ensemble_mean, teacher_unit,
+                ensemble_mean, None if log_teacher is None else log_teacher[batch],
                 config.lambda1, config.lambda2,
             )
+            kh = gram @ h
             if not np.isfinite(breakdown.total):
-                raise _numeric_abort("loss", epoch, start, breakdown, state.ctx, grad)
-            state.ctx = _round_f32(state.ctx - config.learning_rate * grad)
+                raise _numeric_abort("loss", epoch, start, breakdown, context(), h, kh)
+            state.s = state.s - lr * length * kh
+            state.h_sum = state.h_sum + h
             sums += len(batch) * np.array([breakdown.ce, breakdown.sccm, breakdown.kdsp])
-        # a step that overflows the float32 context is seen by the next loss,
-        # except on the epoch's last step
+        # float64 holds a context that float32 storage overflows, so the check
+        # is on the stored values
+        state.ctx = context()
         if not np.isfinite(state.ctx).all():
-            raise _numeric_abort("context", epoch, start, breakdown, state.ctx, grad)
+            raise _numeric_abort("context", epoch, start, breakdown, state.ctx, h, kh)
         means = sums / n
         epoch_breakdown = LossBreakdown.compose(
             means[0], means[1], means[2], config.lambda1, config.lambda2
         )
         train_acc = _accuracy_with_context(
-            handle, state.ctx, class_names, images, labels
+            handle, state.s, length, class_names, images, labels
         )
         state.epoch = epoch + 1
         logs.append(EpochLog(epoch=epoch, breakdown=epoch_breakdown, train_acc=train_acc))
@@ -185,7 +235,8 @@ def train_run(
 
 
 def _numeric_abort(
-    what: str, epoch: int, start: int, breakdown: LossBreakdown, ctx: np.ndarray, grad: np.ndarray
+    what: str, epoch: int, start: int, breakdown: LossBreakdown,
+    ctx: np.ndarray, h: np.ndarray, kh: np.ndarray,
 ) -> NumericError:
     return NumericError(
         f"non-finite {what} at epoch {epoch}",
@@ -196,20 +247,22 @@ def _numeric_abort(
             "sccm": breakdown.sccm,
             "kdsp": breakdown.kdsp,
             "ctx_norm": float(np.linalg.norm(ctx)),
-            # every context row carries the gradient row ``grad``
-            "grad_norm": float(np.sqrt(len(ctx)) * np.linalg.norm(grad)),
+            # every context row carries the gradient row Pᵀh, and
+            # ‖Pᵀh‖² = h·(K·h), which is >= 0 up to rounding
+            "grad_norm": float(np.sqrt(len(ctx) * abs(h @ kh))),
         },
     )
 
 
 def _accuracy_with_context(
     handle: SyntheticTextEncoder,
-    ctx: np.ndarray,
+    s: np.ndarray,
+    length: int,
     class_names: list[str],
     images: np.ndarray,
     labels: np.ndarray,
 ) -> float:
-    text, _ = encode_text_with_context(handle, ctx, class_names)
+    text, _ = encode_text_with_context(handle, s, length, class_names)
     probs = class_probabilities(images, text, handle.tau)
     return float(np.mean(predict(probs) == labels))
 
@@ -250,25 +303,46 @@ def _unpack_rng_state(blob: bytes) -> np.random.Generator:
     return rng
 
 
+# trailer fields before the float64 s and H: u32 epoch, u32 D, encoder sha256
+_TRAILER_HEAD = struct.Struct("<II32s")
+
+
 def save_checkpoint(state: TrainState, path: str | Path) -> None:
     """Write the context in the binary layout under a (version, rows, width)
-    header, with a trailer of u32 epoch, u32 RNG state length, RNG state."""
+    header, with a trailer of u32 epoch, u32 D, the 32-byte encoder digest,
+    ``s`` and ``H`` as D little-endian float64 each, u32 RNG state length
+    and the RNG state."""
     rng_blob = _pack_rng_state(state.rng)
-    trailer = struct.pack("<II", state.epoch, len(rng_blob)) + rng_blob
+    trailer = b"".join((
+        _TRAILER_HEAD.pack(state.epoch, len(state.s), bytes.fromhex(state.encoder)),
+        np.asarray(state.s, "<f8").tobytes(),
+        np.asarray(state.h_sum, "<f8").tobytes(),
+        struct.pack("<I", len(rng_blob)),
+        rng_blob,
+    ))
     write_binary(path, CKPT_MAGIC, (CKPT_VERSION,), state.ctx, trailer)
 
 
 def load_checkpoint(path: str | Path) -> TrainState:
-    (version,), ctx32, trailer = read_binary(path, CKPT_MAGIC, "a checkpoint", 1)
+    (version,), ctx32, trailer = read_binary(path, CKPT_MAGIC, "a checkpoint", 1, "train")
     if version != CKPT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     if len(ctx32) == 0:
         raise DataError(f"{path}: checkpoint context has 0 rows")
     ctx = ctx32.astype(np.float64)
     check_finite(ctx, f"{path}: checkpoint context")
-    if len(trailer) < 8:
+    if len(trailer) < _TRAILER_HEAD.size:
         raise DataError(f"{path}: truncated checkpoint trailer")
-    epoch, rng_len = struct.unpack_from("<II", trailer)
-    if len(trailer) != 8 + rng_len:
+    epoch, dim, encoder = _TRAILER_HEAD.unpack_from(trailer)
+    rng_at = _TRAILER_HEAD.size + 16 * dim
+    if len(trailer) < rng_at + 4:
+        raise DataError(f"{path}: truncated checkpoint trailer")
+    s_and_h = np.frombuffer(trailer, "<f8", 2 * dim, _TRAILER_HEAD.size).astype(np.float64)
+    check_finite(s_and_h, f"{path}: checkpoint s and H")
+    (rng_len,) = struct.unpack_from("<I", trailer, rng_at)
+    if len(trailer) != rng_at + 4 + rng_len:
         raise DataError(f"{path}: trailing or missing rng state bytes")
-    return TrainState(ctx=ctx, epoch=epoch, rng=_unpack_rng_state(trailer[8:]))
+    return TrainState(
+        ctx=ctx, s=s_and_h[:dim], h_sum=s_and_h[dim:], encoder=encoder.hex(),
+        epoch=epoch, rng=_unpack_rng_state(trailer[rng_at + 4 :]),
+    )

@@ -7,7 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from bmcoop.backbone import SyntheticTextEncoder
+from bmcoop.backbone import (
+    SyntheticTextEncoder,
+    encode_text_with_context,
+    init_context,
+    project_context,
+)
 from bmcoop.objective import LossBreakdown
 from bmcoop.types import RunConfig
 
@@ -93,6 +98,11 @@ def build_desk_task(
     return DeskTask(handle=handle, centroids=np.stack(centroids), names=list(DESK_NAMES))
 
 
+def encode_context(handle: SyntheticTextEncoder, ctx: np.ndarray, names: list[str]):
+    """``encode_text_with_context`` of the (M, d_tok) context ``ctx``."""
+    return encode_text_with_context(handle, project_context(handle, ctx), len(ctx), names)
+
+
 def per_class_encode(handle: SyntheticTextEncoder, vectors: np.ndarray, name: str):
     """One class by the unbatched formula: (unit embedding, ||raw||, sequence length)."""
     name_rows = handle.token_vectors(name)
@@ -115,11 +125,33 @@ def per_class_vjp(handle, unit, norm, seq_len, g, ctx_rows):
     return np.tile(handle.projection.T @ g_raw / seq_len, (ctx_rows, 1))
 
 
+def per_class_encode_from_s(handle: SyntheticTextEncoder, s: np.ndarray, length: int, name: str):
+    """One class from ``s = P·Σctx`` on its own, for a context of ``length``
+    rows: (unit embedding, ||raw||, sequence length)."""
+    tokens = handle.token_vectors(name)
+    seq_len = length + tokens.shape[0]
+    raw = ((s + handle.projection @ tokens.sum(axis=0)) / seq_len)[None, :]
+    norm = np.linalg.norm(raw, axis=1)
+    return (raw / norm[:, None])[0], norm[0], seq_len
+
+
+def per_class_h(encoded, grad_text) -> np.ndarray:
+    """dLoss/ds summed class by class, from each class's (unit, ||raw||,
+    sequence length) and its embedding gradient."""
+    h = np.zeros(grad_text.shape[1])
+    for (unit, norm, seq_len), g in zip(encoded, grad_text):
+        radial = np.einsum("cd,cd->c", g[None, :], unit[None, :])[0]
+        h = h + (g - radial * unit) / norm / seq_len
+    return h
+
+
 # ── per-term oracle ──────────────────────────────────────────────────
 #
 # A frozen copy of the unfused objective: every term normalizes the raw
-# images and the class text itself and builds its own softmaxes. The
-# package's one-block-per-step path must match it bit for bit.
+# images itself and builds its own softmaxes. The class text is the
+# encoder's unit rows, scored as they are, and the teacher enters as its
+# log-softmax over the whole support (``oracle_log_teacher``), scored once
+# per run. The package's one-block-per-step path must match it bit for bit.
 
 def _oracle_unit_rows(matrix):
     matrix = np.asarray(matrix, dtype=np.float64)
@@ -127,10 +159,9 @@ def _oracle_unit_rows(matrix):
     return matrix / norms[:, None], norms
 
 
-def _oracle_logits(images, text, tau):
+def _oracle_logits(images, unit_text, tau):
     v_unit, _ = _oracle_unit_rows(images)
-    t_unit, _ = _oracle_unit_rows(text)
-    return (v_unit @ t_unit.T) / tau
+    return (v_unit @ unit_text.T) / tau
 
 
 def _oracle_log_softmax(logits):
@@ -139,15 +170,19 @@ def _oracle_log_softmax(logits):
 
 
 def _oracle_chain(grad_logits, v_unit, text, tau):
-    t_unit, t_norms = _oracle_unit_rows(text)
-    cos = v_unit @ t_unit.T
+    cos = v_unit @ text.T
     accum = grad_logits.T @ v_unit
     diag = (grad_logits * cos).sum(axis=0)
-    return (accum - diag[:, None] * t_unit) / (t_norms[:, None] * tau)
+    return (accum - diag[:, None] * text) / tau
+
+
+def oracle_log_teacher(images, teacher_ensemble, tau) -> np.ndarray:
+    """Teacher log-softmax of every raw image row against the raw teacher rows."""
+    return _oracle_log_softmax(_oracle_logits(images, _oracle_unit_rows(teacher_ensemble)[0], tau))
 
 
 def oracle_ce_grad(images, text, labels, tau) -> np.ndarray:
-    """d(batch-mean cross-entropy)/dT from raw images and class text."""
+    """d(batch-mean cross-entropy)/dT from raw images and unit class text."""
     v_unit, _ = _oracle_unit_rows(images)
     probs = np.exp(_oracle_log_softmax(_oracle_logits(images, text, tau)))
     grad_logits = probs.copy()
@@ -156,16 +191,16 @@ def oracle_ce_grad(images, text, labels, tau) -> np.ndarray:
     return _oracle_chain(grad_logits, v_unit, text, tau)
 
 
-def oracle_kdsp_grad(images, text, teacher_ensemble, tau) -> np.ndarray:
-    """d(batch-mean KL(teacher || student))/dT from raw images and class text."""
+def oracle_kdsp_grad(images, text, log_teacher, tau) -> np.ndarray:
+    """d(batch-mean KL(teacher || student))/dT from raw images, unit class
+    text and the batch's teacher log-softmax rows."""
     v_unit, _ = _oracle_unit_rows(images)
     student = np.exp(_oracle_log_softmax(_oracle_logits(images, text, tau)))
-    teacher = np.exp(_oracle_log_softmax(_oracle_logits(images, teacher_ensemble, tau)))
-    return _oracle_chain((student - teacher) / student.shape[0], v_unit, text, tau)
+    return _oracle_chain((student - np.exp(log_teacher)) / student.shape[0], v_unit, text, tau)
 
 
-def oracle_total_loss(images, labels, text, ensemble_mean, teacher_ensemble, tau, lambda1, lambda2):
-    """The composite loss, each term from raw images, text and teacher."""
+def oracle_total_loss(images, labels, text, ensemble_mean, log_teacher, tau, lambda1, lambda2):
+    """The composite loss, each term from raw images, unit text and the teacher rows."""
     log_probs = _oracle_log_softmax(_oracle_logits(images, text, tau))
     ce = float(-np.mean(log_probs[np.arange(len(labels)), labels]))
     sccm = 0.0
@@ -173,26 +208,26 @@ def oracle_total_loss(images, labels, text, ensemble_mean, teacher_ensemble, tau
         diff = np.asarray(text, dtype=np.float64) - ensemble_mean
         sccm = float(np.sum(diff * diff))
     kdsp = 0.0
-    if teacher_ensemble is not None:
-        log_teacher = _oracle_log_softmax(_oracle_logits(images, teacher_ensemble, tau))
+    if log_teacher is not None:
         teacher = np.exp(log_teacher)
         terms = np.where(teacher > 0.0, teacher * (log_teacher - log_probs), 0.0)
         kdsp = max(0.0, float(np.mean(terms.sum(axis=1))))
     return LossBreakdown.compose(ce, sccm, kdsp, lambda1, lambda2)
 
 
-def oracle_text_grad(images, labels, text, ensemble_mean, teacher_ensemble, tau, lambda1, lambda2):
+def oracle_text_grad(images, labels, text, ensemble_mean, log_teacher, tau, lambda1, lambda2):
     """dTotal/dT summed term by term in the order ce, sccm, kdsp."""
     grad = oracle_ce_grad(images, text, labels, tau)
     if lambda1 != 0.0:
         grad = grad + lambda1 * (2.0 * (np.asarray(text, dtype=np.float64) - ensemble_mean))
     if lambda2 != 0.0:
-        grad = grad + lambda2 * oracle_kdsp_grad(images, text, teacher_ensemble, tau)
+        grad = grad + lambda2 * oracle_kdsp_grad(images, text, log_teacher, tau)
     return grad
 
 
 def per_class_ce_grad(handle, vectors, names, images, labels) -> np.ndarray:
-    """CE gradient w.r.t. the context with one encode and one VJP per class."""
+    """CE gradient w.r.t. the (M, d_tok) context ``vectors`` with one encode
+    and one VJP per class."""
     encoded = [per_class_encode(handle, vectors, name) for name in names]
     text = np.stack([unit for unit, _, _ in encoded])
     grad_text = oracle_ce_grad(images, text, labels, handle.tau)
@@ -200,6 +235,44 @@ def per_class_ce_grad(handle, vectors, names, images, labels) -> np.ndarray:
     for (unit, norm, seq_len), g in zip(encoded, grad_text):
         grad += per_class_vjp(handle, unit, norm, seq_len, g, vectors.shape[0])
     return grad
+
+
+def reference_ce_epochs(handle, cfg, names, images, labels):
+    """The CE-only run as an independent loop on ``s``: per-class encodes and
+    h's, then ``K·h`` with ``K = P·Pᵀ``. Yields ``s`` and the stored context
+    ``ctx0 - lr·PᵀH`` (float32 values) after each epoch."""
+    projection = handle.projection
+    gram = projection @ projection.T
+    ctx0 = init_context(handle, cfg.context_init_text, cfg.context_length)
+    length = len(ctx0)
+    s = projection @ ctx0.sum(axis=0)
+    h_sum = np.zeros_like(s)
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(images))
+        for start in range(0, len(images), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            encoded = [per_class_encode_from_s(handle, s, length, name) for name in names]
+            text = np.stack([unit for unit, _, _ in encoded])
+            h = per_class_h(encoded, oracle_ce_grad(images[batch], text, labels[batch], handle.tau))
+            s = s - cfg.learning_rate * length * (gram @ h)
+            h_sum = h_sum + h
+        ctx = ctx0 - cfg.learning_rate * (projection.T @ h_sum)
+        yield s, ctx.astype(np.float32).astype(np.float64)
+
+
+def w_space_ce_context(handle, cfg, names, images, labels) -> np.ndarray:
+    """The CE-only run as the float64 loop over the (M, d_tok) context itself,
+    never rounded: the context after ``cfg.epochs`` epochs."""
+    vectors = init_context(handle, cfg.context_init_text, cfg.context_length)
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(images))
+        for start in range(0, len(images), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            grad = per_class_ce_grad(handle, vectors, names, images[batch], labels[batch])
+            vectors = vectors - cfg.learning_rate * grad
+    return vectors
 
 
 def build_planted_outlier(seed: int, n_prompts: int = 50, dim: int = 24):

@@ -10,10 +10,11 @@ from bmcoop.backbone import (
     encode_text_bank,
     encode_text_with_context,
     init_context,
+    project_context,
 )
 from bmcoop.errors import DataError
 from bmcoop.types import BLOCK_ROWS, EmbeddingMatrix, PromptBank
-from conftest import per_class_encode, per_class_vjp, per_prompt_encode
+from conftest import encode_context, per_class_encode, per_class_vjp, per_prompt_encode
 
 
 class TestInitContext:
@@ -52,26 +53,28 @@ class TestInitContext:
 class TestEncodeTextWithContext:
     def test_deterministic(self, small_handle):
         ctx = init_context(small_handle, "a photo of a", 4)
-        e1, _ = encode_text_with_context(small_handle, ctx, ["glioma"])
-        e2, _ = encode_text_with_context(small_handle, ctx, ["glioma"])
+        e1, _ = encode_context(small_handle, ctx, ["glioma"])
+        e2, _ = encode_context(small_handle, ctx, ["glioma"])
         assert np.array_equal(e1, e2)
 
     def test_unit_norm(self, small_handle):
         ctx = init_context(small_handle, "a photo of a", 4)
         for name in ("glioma", "meningioma tumor", "normal brain scan"):
-            e, _ = encode_text_with_context(small_handle, ctx, [name])
+            e, _ = encode_context(small_handle, ctx, [name])
             assert abs(np.linalg.norm(e[0]) - 1.0) < 1e-6
 
     def test_width_mismatch_rejected(self, small_handle):
         other = SyntheticTextEncoder(seed=5, embedding_dim=12, token_width=30)
         ctx = init_context(other, "a photo of a", 4)
         with pytest.raises(DataError, match="width"):
-            encode_text_with_context(small_handle, ctx, ["glioma"])
+            project_context(small_handle, ctx)
+        with pytest.raises(DataError, match="width"):
+            encode_text_with_context(small_handle, np.zeros(8), 4, ["glioma"])
 
     def test_no_class_names_rejected(self, small_handle):
         ctx = init_context(small_handle, "a photo of a", 4)
         with pytest.raises(DataError, match="no class names"):
-            encode_text_with_context(small_handle, ctx, [])
+            encode_context(small_handle, ctx, [])
 
     def test_tape_matches_central_differences(self, small_handle):
         """Random contexts and random downstream linear losses vs the tape."""
@@ -83,8 +86,9 @@ class TestEncodeTextWithContext:
             name = "glioma tumor"
             # random downstream scalar loss L = w . embedding
             w = rng.standard_normal(small_handle.embedding_dim)
-            _, tape = encode_text_with_context(small_handle, ctx, [name])
-            analytic = tape.vjp(w[None, :])
+            _, tape = encode_context(small_handle, ctx, [name])
+            # every context row's gradient is Pᵀh
+            analytic = np.tile(small_handle.projection.T @ tape.vjp(w[None, :]), (len(ctx), 1))
             fd = np.zeros_like(ctx)
             for i in range(ctx.shape[0]):
                 for j in range(ctx.shape[1]):
@@ -92,8 +96,8 @@ class TestEncodeTextWithContext:
                     vp[i, j] += eps
                     vm = ctx.copy()
                     vm[i, j] -= eps
-                    ep, _ = encode_text_with_context(small_handle, vp, [name])
-                    em, _ = encode_text_with_context(small_handle, vm, [name])
+                    ep, _ = encode_context(small_handle, vp, [name])
+                    em, _ = encode_context(small_handle, vm, [name])
                     fd[i, j] = (w @ ep[0] - w @ em[0]) / (2 * eps)
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-7)
             assert np.max(np.abs(analytic - fd) / denom) < 1e-4
@@ -119,9 +123,9 @@ class TestBatchedAgainstPerClass:
             ]
             ctx = init_context(handle, "", ctx_rows)
             ctx = rng.standard_normal(ctx.shape) * 0.3
-            unit, tape = encode_text_with_context(handle, ctx, names)
+            unit, tape = encode_context(handle, ctx, names)
             g = rng.standard_normal((n_classes, dim))
-            grad = tape.vjp(g)
+            grad = handle.projection.T @ tape.vjp(g)
 
             expected_grad = np.zeros_like(ctx)
             for c, name in enumerate(names):
@@ -138,7 +142,14 @@ class TestBatchedAgainstPerClass:
         handle = SyntheticTextEncoder(seed=4, embedding_dim=1, token_width=1)
         ctx = -handle.token_vectors("lesion")
         with pytest.raises(DataError, match="'lesion'"):
-            encode_text_with_context(handle, ctx, ["cyst", "lesion"])
+            encode_context(handle, ctx, ["cyst", "lesion"])
+
+    def test_gram_is_memoised_read_only(self, small_handle):
+        gram = small_handle.gram()
+        assert small_handle.gram() is gram
+        assert np.array_equal(gram, small_handle.projection @ small_handle.projection.T)
+        with pytest.raises(ValueError):
+            gram[0, 0] = 1.0
 
     def test_name_block_is_memoised_read_only(self, small_handle):
         names = ["glioma tumor", "normal brain", "cyst"]
@@ -381,7 +392,7 @@ class TestFreezing:
     def test_text_parameters_unchanged_by_use(self, small_handle):
         before = small_handle.parameter_digest()
         ctx = init_context(small_handle, "a photo of a", 4)
-        encode_text_with_context(small_handle, ctx, ["glioma", "meningioma", "pituitary"])
+        encode_context(small_handle, ctx, ["glioma", "meningioma", "pituitary"])
         encode_text_bank(
             small_handle,
             PromptBank(prompts={"x": ["some finding"]}, modalities={"x": "mri"}),

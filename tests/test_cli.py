@@ -32,6 +32,7 @@ from conftest import (
     DESK_WIDTH,
     build_desk_task,
     build_two_shell_outlier,
+    encode_context,
     per_prompt_encode,
 )
 
@@ -255,7 +256,8 @@ class TestTrainEval:
         ctx = load_checkpoint(tmp_path / "out" / "checkpoint.ckpt").ctx
         bank = read_embedding_cache(tmp_path / "bank.emb").values.astype(np.float64)
         classifiers = {
-            "context": encode_text_with_context(handle, ctx, names)[0],
+            # eval projects the stored context
+            "context": encode_context(handle, ctx, names)[0],
             "ensemble": mean_ensemble(bank.reshape(len(names), -1, bank.shape[1])),
         }
         for classifier, embeds in classifiers.items():
@@ -330,7 +332,7 @@ class TestBaseToNovel:
         handle = SyntheticTextEncoder(
             seed=DESK_ENCODER_SEED, embedding_dim=DESK_DIM, token_width=DESK_WIDTH, tau=0.01
         )
-        ctx = load_checkpoint(tmp_path / "out" / "checkpoint.ckpt").ctx
+        state = load_checkpoint(tmp_path / "out" / "checkpoint.ckpt")
         index = load_cache_index(tmp_path / "images.idx")
         cache = read_embedding_cache(tmp_path / "images.emb").values.astype(np.float64)
         records = [line.split("\t") for line in (tmp_path / "manifest.tsv").read_text().splitlines()]
@@ -339,7 +341,8 @@ class TestBaseToNovel:
             test = [(item, name) for item, name, split in records if split == "test" and name in names]
             images = cache[[index[item] for item, _ in test]]
             images /= np.linalg.norm(images, axis=1, keepdims=True)
-            embeds, _ = encode_text_with_context(handle, ctx, names)
+            # base-to-novel encodes from the trained s
+            embeds, _ = encode_text_with_context(handle, state.s, len(state.ctx), names)
             predicted = np.argmax(images @ embeds.T, axis=1)
             labels = np.array([names.index(name) for _, name in test])
             return 100.0 * int(np.sum(predicted == labels)) / len(test)
@@ -653,12 +656,24 @@ class TestExitCodes:
     def test_nan_checkpoint_is_3(self, toy_dataset, capsys):
         tmp_path, config, config_path = toy_dataset
         ckpt = tmp_path / "nan.ckpt"
-        save_checkpoint(TrainState(ctx=np.full((2, 3), np.nan), epoch=0,
-                                   rng=np.random.default_rng(0)), ckpt)
+        save_checkpoint(TrainState(ctx=np.full((2, 3), np.nan), s=np.zeros(4), h_sum=np.zeros(4),
+                                   encoder="ab" * 32, epoch=0, rng=np.random.default_rng(0)), ckpt)
         rewrite(config_path, config, checkpoint=str(ckpt))
         assert run("eval", str(config_path)) == 3
         err = capsys.readouterr().err
         assert "category=data" in err and "checkpoint context contains non-finite values" in err
+
+    def test_checkpoint_of_another_encoder_seed_is_3(self, toy_dataset, capsys):
+        tmp_path, config, config_path = toy_dataset
+        assert run("train", str(config_path), ["encoder_seed=9"]) == 0
+        rewrite(config_path, config, checkpoint=str(tmp_path / "out" / "checkpoint.ckpt"))
+        assert run("eval", str(config_path)) == 3
+        err = capsys.readouterr().err
+        digests = [
+            SyntheticTextEncoder(seed=seed, embedding_dim=DESK_DIM, token_width=DESK_WIDTH)
+            .parameter_digest() for seed in (9, DESK_ENCODER_SEED)
+        ]
+        assert "category=data" in err and all(digest in err for digest in digests)
 
     @pytest.mark.parametrize("command", ["train", "base-to-novel"])
     def test_context_overflow_on_the_last_step_is_4(self, toy_dataset, capsys, command):

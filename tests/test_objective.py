@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmcoop.backbone import SyntheticTextEncoder, encode_text_with_context, init_context
+from bmcoop.backbone import (
+    SyntheticTextEncoder,
+    encode_text_with_context,
+    init_context,
+    project_context,
+)
 from bmcoop.errors import DataError
 from bmcoop.objective import (
     LossBreakdown,
@@ -25,7 +30,13 @@ from bmcoop.objective import (
     total_loss,
 )
 from bmcoop.types import BLOCK_ROWS
-from conftest import oracle_text_grad, oracle_total_loss, unit_rows
+from conftest import (
+    encode_context,
+    oracle_log_teacher,
+    oracle_text_grad,
+    oracle_total_loss,
+    unit_rows,
+)
 
 
 def kdsp_loss(v, student, teacher, tau):
@@ -290,16 +301,27 @@ class TestTotalLoss:
 
 
 def support_rows(handle, names, v, labels, ps):
-    """(unit rows, checked labels, unit teacher rows) as a training run prepares them."""
-    return prepare_support(v, labels, len(names), handle.embedding_dim, handle.tau, ps)
+    """(unit rows, checked labels, teacher log-softmax rows) as a training run
+    prepares them."""
+    v_unit, labels, teacher_unit = prepare_support(
+        v, labels, len(names), handle.embedding_dim, handle.tau, ps
+    )
+    log_teacher = None if ps is None else teacher_log_probs(v_unit, teacher_unit, handle.tau)
+    return v_unit, labels, log_teacher
+
+
+def context_grad(handle, ctx, names, *args):
+    """``loss_gradient`` at the context ``ctx``, read as the (M, d_tok)
+    gradient ``Pᵀh`` in every row."""
+    breakdown, h = loss_gradient(handle, project_context(handle, ctx), len(ctx), names, *args)
+    return breakdown, np.tile(handle.projection.T @ h, (len(ctx), 1))
 
 
 def finite_difference_grad(handle, ctx, names, v, labels, pg, ps, l1, l2, eps=1e-5):
-    v_unit, labels, teacher_unit = support_rows(handle, names, v, labels, ps)
-    log_teacher = None if ps is None else teacher_log_probs(v_unit, teacher_unit, handle.tau)
+    v_unit, labels, log_teacher = support_rows(handle, names, v, labels, ps)
 
     def f(vectors):
-        text, _ = encode_text_with_context(handle, vectors, names)
+        text, _ = encode_context(handle, vectors, names)
         scores = student_scores(v_unit, text, handle.tau)
         return total_loss(scores, labels, pg, log_teacher, l1, l2).total
 
@@ -334,9 +356,9 @@ class TestLossGradient:
                 labels = rng.integers(0, 3, size=4)
                 pg = rng.standard_normal((3, small_handle.embedding_dim)) * 0.4
                 ps = unit_rows(rng, 3, small_handle.embedding_dim)
-                v_unit, checked, teacher_unit = support_rows(small_handle, names, v, labels, ps)
-                _, grad = loss_gradient(
-                    small_handle, ctx, names, v_unit, checked, pg, teacher_unit, l1, l2
+                v_unit, checked, log_teacher = support_rows(small_handle, names, v, labels, ps)
+                _, grad = context_grad(
+                    small_handle, ctx, names, v_unit, checked, pg, log_teacher, l1, l2
                 )
                 fd = finite_difference_grad(
                     small_handle, ctx, names, v, labels, pg, ps, l1, l2
@@ -370,8 +392,8 @@ class TestLossGradient:
         from bmcoop.objective import sccm_grad_wrt_text
 
         ctx = np.array([[0.21, -0.4]])
-        embed_val, tape = encode_text_with_context(handle, ctx, [name])
-        grad = tape.vjp(sccm_grad_wrt_text(embed_val, target[None, :]))
+        embed_val, tape = encode_context(handle, ctx, [name])
+        grad = handle.projection.T @ tape.vjp(sccm_grad_wrt_text(embed_val, target[None, :]))
         assert grad.shape == (2,)
         assert np.max(np.abs(grad - symbolic)) < 1e-10
 
@@ -381,10 +403,10 @@ class TestLossGradient:
         # zero context rows keep the class embeddings far apart here
         ctx = np.zeros((2, small_handle.token_width))
         names = ["alpha beta gamma delta", "omega sigma rho pi"]
-        text, _ = encode_text_with_context(small_handle, ctx, names)
+        text, _ = encode_context(small_handle, ctx, names)
         v = text.copy()  # images exactly on the class embeddings
         labels = np.array([0, 1])
-        bd, grad = loss_gradient(
+        bd, grad = context_grad(
             small_handle, ctx, names, v, labels, None, None, 0.0, 0.0
         )
         assert bd.ce < 1e-15
@@ -399,9 +421,9 @@ class TestLossGradient:
         v = unit_rows(rng, 4, small_handle.embedding_dim)
         labels = np.array([0, 1, 0, 1])
         ps = unit_rows(rng, 2, small_handle.embedding_dim)
-        v_unit, checked, teacher_unit = support_rows(small_handle, names, v, labels, ps)
-        _, grad = loss_gradient(
-            small_handle, ctx, names, v_unit, checked, None, teacher_unit, 0.0, 1.0
+        v_unit, checked, log_teacher = support_rows(small_handle, names, v, labels, ps)
+        _, grad = context_grad(
+            small_handle, ctx, names, v_unit, checked, None, log_teacher, 0.0, 1.0
         )
         fd = finite_difference_grad(
             small_handle, ctx, names, v, labels, None, ps, 0.0, 1.0
@@ -444,13 +466,20 @@ class TestFusedStepAgainstPerTermOracle:
             batch = rng.choice(n, size=min(n, int(rng.integers(1, 9))), replace=False)
 
             v_unit, checked, teacher_unit = prepare_support(images, labels, c, dim, handle.tau, ps)
+            s = project_context(handle, ctx)
+            log_teacher = oracle_teacher = None
+            if ps is not None:
+                # the teacher is scored once per run, over the whole support
+                log_teacher = teacher_log_probs(v_unit, teacher_unit, handle.tau)[batch]
+                oracle_teacher = oracle_log_teacher(images, ps, handle.tau)[batch]
             breakdown, grad = loss_gradient(
-                handle, ctx, names, v_unit[batch], checked[batch], pg, teacher_unit,
+                handle, s, len(ctx), names, v_unit[batch], checked[batch], pg, log_teacher,
                 lambda1, lambda2,
             )
 
-            text, tape = encode_text_with_context(handle, ctx, names)
-            args = (images[batch], labels[batch], text, pg, ps, handle.tau, lambda1, lambda2)
+            text, tape = encode_text_with_context(handle, s, len(ctx), names)
+            args = (images[batch], labels[batch], text, pg, oracle_teacher, handle.tau,
+                    lambda1, lambda2)
             want = oracle_total_loss(*args)
             for field in ("ce", "sccm", "kdsp", "total"):
                 assert np.array_equal(getattr(breakdown, field), getattr(want, field)), (seed, field)

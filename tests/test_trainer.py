@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bmcoop import trainer
-from bmcoop.backbone import encode_text_with_context, init_context
+from bmcoop.backbone import SyntheticTextEncoder, init_context
 from bmcoop.errors import DataError, NumericError
 from bmcoop.io import load_manifest
 from bmcoop.trainer import (
@@ -22,7 +22,14 @@ from bmcoop.trainer import (
     train_run,
     write_training_log,
 )
-from conftest import oracle_text_grad, oracle_total_loss, per_class_ce_grad
+from conftest import (
+    oracle_log_teacher,
+    oracle_text_grad,
+    oracle_total_loss,
+    per_class_encode_from_s,
+    per_class_h,
+    reference_ce_epochs,
+)
 from bmcoop.types import SPLITS, ClassCatalog, DatasetManifest
 
 
@@ -144,19 +151,19 @@ class TestTrainRun:
         state, _ = train_run(images, labels, desk_task.names, desk_task.handle, cfg)
 
         # reference loop: independent shuffling/update wiring, CE path only
-        handle = desk_task.handle
-        ctx = init_context(handle, cfg.context_init_text, cfg.context_length)
-        vectors = ctx.astype(np.float32).astype(np.float64)
-        rng = np.random.default_rng(cfg.seed)
-        for _ in range(cfg.epochs):
-            order = rng.permutation(images.shape[0])
-            for start in range(0, images.shape[0], cfg.batch_size):
-                batch = order[start : start + cfg.batch_size]
-                grad = per_class_ce_grad(
-                    handle, vectors, desk_task.names, images[batch], labels[batch]
-                )
-                vectors = (vectors - cfg.learning_rate * grad).astype(np.float32).astype(np.float64)
-        assert np.array_equal(state.ctx, vectors)
+        *_, (s, ctx) = reference_ce_epochs(desk_task.handle, cfg, desk_task.names, images, labels)
+        assert np.array_equal(state.s, s)
+        assert np.array_equal(state.ctx, ctx)
+
+    def test_empty_run_never_builds_the_gram_matrix(self, desk_task):
+        handle = SyntheticTextEncoder(seed=7, embedding_dim=8, token_width=12)
+        cfg = desk_task.config(epochs=0, embedding_dim=8, token_width=12)
+        images = np.random.default_rng(0).standard_normal((6, 8))
+        train_run(images, np.repeat(np.arange(3), 2), desk_task.names, handle, cfg)
+        assert handle._gram is None
+        train_run(images, np.repeat(np.arange(3), 2), desk_task.names, handle,
+                  desk_task.config(epochs=1, embedding_dim=8, token_width=12))
+        assert handle._gram is not None
 
     def test_loss_decreases_by_epoch_ten(self, desk_task):
         for seed in (1, 2, 3, 4, 5):
@@ -252,25 +259,35 @@ class TestTrainRun:
             ensemble_mean=pg, teacher_ensemble=ps,
         )
 
+        # reference loop on s: per-class encodes and h's, then K·h
         handle = desk_task.handle
-        ref = initial_state(handle, cfg)
+        projection = handle.projection
+        gram = projection @ projection.T
+        ctx0 = init_context(handle, cfg.context_init_text, cfg.context_length)
+        length = len(ctx0)
+        s = projection @ ctx0.sum(axis=0)
+        h_sum = np.zeros_like(s)
+        rng = np.random.default_rng(cfg.seed)
+        log_teacher = oracle_log_teacher(images, ps, handle.tau)
         n = len(labels)
         for epoch in range(cfg.epochs):
-            order = ref.rng.permutation(n)
+            order = rng.permutation(n)
             sums = np.zeros(3)
             for start in range(0, n, cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
-                text, tape = encode_text_with_context(handle, ref.ctx, desk_task.names)
-                args = (images[batch], labels[batch], text, pg, ps, handle.tau, 0.5, 0.25)
+                encoded = [per_class_encode_from_s(handle, s, length, name) for name in desk_task.names]
+                text = np.stack([unit for unit, _, _ in encoded])
+                args = (images[batch], labels[batch], text, pg, log_teacher[batch], handle.tau, 0.5, 0.25)
                 bd = oracle_total_loss(*args)
-                grad = tape.vjp(oracle_text_grad(*args))
-                ref.ctx = (
-                    (ref.ctx - cfg.learning_rate * grad).astype(np.float32).astype(np.float64)
-                )
+                h = per_class_h(encoded, oracle_text_grad(*args))
+                s = s - cfg.learning_rate * length * (gram @ h)
+                h_sum = h_sum + h
                 sums += len(batch) * np.array([bd.ce, bd.sccm, bd.kdsp])
             got = logs[epoch].breakdown
             assert np.array_equal(sums / n, [got.ce, got.sccm, got.kdsp]), epoch
-        assert np.array_equal(state.ctx, ref.ctx)
+        ctx = (ctx0 - cfg.learning_rate * (projection.T @ h_sum)).astype(np.float32)
+        assert np.array_equal(state.s, s)
+        assert np.array_equal(state.ctx, ctx)
 
 
 class TestTrainingLog:
@@ -289,6 +306,12 @@ class TestTrainingLog:
                 float(value)
 
 
+def stored_state(ctx):
+    """A state with the (M, W) context ``ctx`` and a 4-wide ``s`` and ``H``."""
+    return TrainState(ctx=ctx, s=np.arange(4.0), h_sum=np.zeros(4), encoder="ab" * 32,
+                      epoch=0, rng=np.random.default_rng(0))
+
+
 class TestCheckpoints:
     def test_round_trip_bit_exact(self, desk_task, tmp_path):
         cfg = desk_task.config(epochs=3)
@@ -297,6 +320,9 @@ class TestCheckpoints:
         save_checkpoint(state, path)
         back = load_checkpoint(path)
         assert np.array_equal(back.ctx, state.ctx)
+        assert np.array_equal(back.s, state.s)
+        assert np.array_equal(back.h_sum, state.h_sum)
+        assert back.encoder == state.encoder == desk_task.handle.parameter_digest()
         assert back.epoch == state.epoch
         assert back.rng.bit_generator.state == state.rng.bit_generator.state
 
@@ -358,8 +384,8 @@ class TestCheckpoints:
 
     def test_zero_row_context_rejected(self, tmp_path):
         path = tmp_path / "empty.ckpt"
-        save_checkpoint(TrainState(ctx=np.zeros((0, 3)), epoch=0, rng=np.random.default_rng(0)), path)
-        assert struct.unpack_from("<III", path.read_bytes(), 8) == (1, 0, 3)
+        save_checkpoint(stored_state(np.zeros((0, 3))), path)
+        assert struct.unpack_from("<III", path.read_bytes(), 8) == (2, 0, 3)
         with pytest.raises(DataError, match="checkpoint context has 0 rows"):
             load_checkpoint(path)
 
@@ -367,9 +393,25 @@ class TestCheckpoints:
         path = tmp_path / "nan.ckpt"
         ctx = np.zeros((2, 3))
         ctx[1, 2] = np.nan
-        save_checkpoint(TrainState(ctx=ctx, epoch=0, rng=np.random.default_rng(0)), path)
+        save_checkpoint(stored_state(ctx), path)
         with pytest.raises(DataError, match="checkpoint context contains non-finite values"):
             load_checkpoint(path)
+
+    def test_non_finite_s_rejected(self, tmp_path):
+        path = tmp_path / "inf.ckpt"
+        state = stored_state(np.zeros((2, 3)))
+        state.h_sum[1] = np.inf
+        save_checkpoint(state, path)
+        with pytest.raises(DataError, match="checkpoint s and H contains non-finite values"):
+            load_checkpoint(path)
+
+    def test_version_1_checkpoint_asks_for_a_new_train(self, tmp_path):
+        path = tmp_path / "v1.ckpt"
+        save_checkpoint(stored_state(np.zeros((2, 3))), path)
+        path.write_bytes(b"BMCCKPT1" + path.read_bytes()[8:])
+        with pytest.raises(DataError, match="re-run train") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
 
     def test_truncated_rejected(self, desk_task, tmp_path):
         cfg = desk_task.config(epochs=1)

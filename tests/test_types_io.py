@@ -438,10 +438,14 @@ class TestRunConfig:
 
 
 def _checkpoint_bytes() -> bytes:
+    """A version 2 checkpoint written by hand: a 1 x 2 context, epoch 5, a
+    3-wide ``s`` and ``H``, an encoder digest and a generator state."""
     rng_blob = _pack_rng_state(np.random.default_rng(3))
     return (
         CKPT_MAGIC + struct.pack("<III", CKPT_VERSION, 1, 2) + np.ones(2, "<f4").tobytes()
-        + struct.pack("<II", 5, len(rng_blob)) + rng_blob
+        + struct.pack("<II", 5, 3) + bytes(range(32))
+        + np.array([0.5, -1.0, 2.0, 0.0, 0.25, 1e-3], "<f8").tobytes()
+        + struct.pack("<I", len(rng_blob)) + rng_blob
     )
 
 
@@ -450,7 +454,8 @@ def _write_cache(path, values):
 
 
 def _write_checkpoint(path, values):
-    save_checkpoint(TrainState(ctx=values, epoch=5, rng=np.random.default_rng(3)), path)
+    save_checkpoint(TrainState(ctx=values, s=np.ones(3), h_sum=np.zeros(3), encoder="cd" * 32,
+                               epoch=5, rng=np.random.default_rng(3)), path)
 
 
 # format -> (reader, writer, header length, what the magic names, trailing-bytes message)
@@ -491,14 +496,25 @@ class TestBinaryLayout:
             read(path)
         assert str(path) in str(err.value)
 
-    def test_checkpoint_version_2_rejected(self, tmp_path):
-        path = tmp_path / "v2.ckpt"
+    def test_unknown_checkpoint_version_rejected(self, tmp_path):
+        path = tmp_path / "v3.ckpt"
         blob = _checkpoint_bytes()
         at = len(CKPT_MAGIC)
-        path.write_bytes(blob[:at] + struct.pack("<I", 2) + blob[at + 4 :])
-        with pytest.raises(DataError, match="unsupported checkpoint version 2") as err:
+        path.write_bytes(blob[:at] + struct.pack("<I", 3) + blob[at + 4 :])
+        with pytest.raises(DataError, match="unsupported checkpoint version 3") as err:
             load_checkpoint(path)
         assert str(path) in str(err.value)
+
+    def test_hand_built_checkpoint_reads_back(self, tmp_path):
+        path = tmp_path / "hand.ckpt"
+        path.write_bytes(_checkpoint_bytes())
+        state = load_checkpoint(path)
+        assert np.array_equal(state.ctx, np.ones((1, 2)))
+        assert np.array_equal(state.s, [0.5, -1.0, 2.0])
+        assert np.array_equal(state.h_sum, [0.0, 0.25, 1e-3])
+        assert state.encoder == bytes(range(32)).hex()
+        assert state.epoch == 5
+        assert state.rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
 
 
 CATALOG = make_catalog("benign", "malignant")
