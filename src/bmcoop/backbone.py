@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -284,18 +285,21 @@ class SyntheticVisionEncoder:
         self.projection.setflags(write=False)
         self.bias.setflags(write=False)
 
-    def encode(self, features: np.ndarray, names: list | None = None) -> np.ndarray:
+    def encode(self, features: np.ndarray, names: list | None = None, out=None):
         """(B, D) float32 unit rows, one per feature row; a zero row is named by
         ``names`` when given, else by its index. Each block of ``types.row_blocks``
         is checked finite, projected, biased and normalized in float64, then
-        stored as float32, the cache's type."""
+        stored as float32, the cache's type, in ``out``: a new array, or a
+        target of ``out[span] = rows`` that takes the blocks in order, such as
+        an ``io.RowWriter``. Returns ``out``."""
         features = np.asarray(features)
         if features.ndim != 2 or features.shape[1] != self.feature_dim:
             raise DataError(
                 f"expected features of shape (B, {self.feature_dim}), got {features.shape}"
             )
         names = range(len(features)) if names is None else names
-        out = np.empty((len(features), self.embedding_dim), dtype=np.float32)
+        if out is None:
+            out = np.empty((len(features), self.embedding_dim), dtype=np.float32)
         raw_buffer = None
         for span, feats in row_blocks(features):
             check_finite(feats, "image features")
@@ -310,9 +314,9 @@ class SyntheticVisionEncoder:
 
 def check_index_rows(index: dict[str, int], row_count: int) -> None:
     """Reject a cache index that points outside a matrix of ``row_count`` rows."""
-    bad = [i for i in index.values() if not 0 <= i < row_count]
-    if bad:
-        raise DataError(f"cache index points outside the matrix: rows {sorted(set(bad))}")
+    if index and not (min(index.values()) >= 0 and max(index.values()) < row_count):
+        bad = sorted({i for i in index.values() if not 0 <= i < row_count})
+        raise DataError(f"cache index points outside the matrix: rows {bad}")
 
 
 @dataclass
@@ -325,14 +329,16 @@ class CachedVisionSource:
     def __post_init__(self):
         check_index_rows(self.index, self.matrix.row_count)
 
-    def positions(self, item_ids: list[str]) -> np.ndarray:
-        """Row positions of ``item_ids`` in the cache matrix, in request order."""
-        try:
-            return np.array([self.index[item_id] for item_id in item_ids], dtype=np.intp)
-        except KeyError as e:
+    def positions(self, item_ids) -> np.ndarray:
+        """Row positions of the sequence ``item_ids`` in the cache matrix, in
+        request order; an id missing from the index is named."""
+        rows = np.fromiter(map(self.index.get, item_ids, repeat(-1)), np.intp, len(item_ids))
+        missing = np.flatnonzero(rows < 0)
+        if missing.size:
             raise DataError(
-                f"item id {e.args[0]!r} not present in the embedding cache index"
-            ) from None
+                f"item id {item_ids[missing[0]]!r} not present in the embedding cache index"
+            )
+        return rows
 
     def encode(self, item_ids: list[str]) -> np.ndarray:
         """(B, D) float64 unit rows of ``item_ids``, in request order."""

@@ -38,7 +38,7 @@ from .backbone import (
 from .ensemble import mean_ensemble, write_score_report
 from .errors import BmcoopError, ConfigError, DataError, NumericError
 from .objective import cosine_logits, predict
-from .types import SPLITS, ClassCatalog, EmbeddingMatrix, RunConfig
+from .types import SPLITS, ClassCatalog, RunConfig
 
 log = logging.getLogger("bmcoop.cli")
 
@@ -226,7 +226,8 @@ def _eval_logits(cfg: LoadedConfig, manifest, source, class_embeds: np.ndarray, 
     ``class_embeds``, and the split's catalog positions. The split's float32
     cache rows are scored where they are stored, by row position."""
     split = np.flatnonzero(manifest.in_split(cfg.values["eval_split"]))
-    item_ids = [manifest.item_ids[i] for i in split]
+    # gathered in one step, to name a missing id or a zero row
+    item_ids = np.array(manifest.item_ids, dtype=object)[split]
     rows = source.positions(item_ids)
     logits = cosine_logits(source.matrix.values, class_embeds, tau, item_ids, rows)
     return logits, manifest.labels[split]
@@ -269,10 +270,10 @@ def cmd_encode_bank(cfg: LoadedConfig) -> list[Path]:
     bank = io.load_prompt_bank(cfg.path("bank", required=True))
     for note in bank.validate(catalog):
         log.warning("bank diagnostic: %s", note)
-    embeds = EmbeddingMatrix(values=encode_text_bank(_text_handle(cfg), bank, catalog.names))
+    embeds = encode_text_bank(_text_handle(cfg), bank, catalog.names)
     out = cfg.path("bank_cache", required=True)
     io.write_embedding_cache(embeds, out)
-    print(f"wrote bank cache: {out} ({embeds.row_count} rows)")
+    print(f"wrote bank cache: {out} ({len(embeds)} rows)")
     return [out]
 
 
@@ -290,12 +291,15 @@ def cmd_encode_images(cfg: LoadedConfig) -> list[Path]:
     names: list = list(range(features.row_count))
     for item_id, row in index.items():
         names[row] = item_id
-    embedded = EmbeddingMatrix(values=encoder.encode(features.values, names))
     out_cache = cfg.path("image_cache", required=True)
     out_index = cfg.path("image_index", required=True)
-    io.write_embedding_cache(embedded, out_cache)
+    # each block of rows goes into the file as it is encoded
+    io.write_embedding_cache(
+        lambda rows: encoder.encode(features.values, names, out=rows), out_cache,
+        shape=(features.row_count, run.embedding_dim),
+    )
     io.write_cache_index(index, out_index)
-    print(f"wrote image cache: {out_cache} ({embedded.row_count} rows)")
+    print(f"wrote image cache: {out_cache} ({features.row_count} rows)")
     return [out_cache, out_index]
 
 

@@ -4,11 +4,20 @@ Embedding caches and checkpoints share a little-endian binary layout
 (magic bytes + u32 header fields, rows and width last + row-major float32
 payload + trailer bytes) that ``write_binary`` writes and ``read_binary``
 reads, so that any implementation in any language reads it bit-identically.
+A payload is read as a read-only view over a map of the file, never copied;
+it is written from an array, or block by block through a ``RowWriter``, so
+a command can write rows it never holds at once.
+
+The manifest and the cache index are parsed by columns: one split of the
+whole text, then set and dict checks over each column. When a check fails,
+the line parser (``_read_table``) reads the file again and raises the error
+naming the line, so every message is written in one place.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import struct
 from pathlib import Path
@@ -23,6 +32,7 @@ from .types import (
     DatasetManifest,
     EmbeddingMatrix,
     PromptBank,
+    check_finite,
 )
 
 CACHE_MAGIC = b"BMCEMB1"  # 7 bytes
@@ -101,6 +111,36 @@ def _read_table(path: Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
         yield lineno, fields
 
 
+# Line breaks that ``str.splitlines`` honours besides "\n" and "\r\n".
+_OTHER_BREAKS = ("\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# ``bytes.translate`` deletes every byte but tab and newline.
+_NOT_TAB_OR_NEWLINE = bytes(b for b in range(256) if b not in b"\t\n")
+
+
+def _read_columns(path: Path, n_fields: int) -> list[list[str]] | None:
+    """The ``n_fields`` columns of a tab-separated file, from one split of its
+    whole text, when every line has ``n_fields`` fields and a last field that
+    is not blank, and lines end in "\n" or "\r\n". None for any other file,
+    which ``_read_table`` then reads line by line."""
+    text = read_text(path)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if any(mark in text for mark in _OTHER_BREAKS):
+        return None
+    tabs = b"\t" * (n_fields - 1)
+    ended = text.endswith("\n")
+    shape = (tabs + b"\n") * text.count("\n") + (b"" if ended else tabs)
+    if text.encode().translate(None, _NOT_TAB_OR_NEWLINE) != shape:
+        return None
+    fields = text.replace("\n", "\t").split("\t")
+    del text
+    if ended:
+        fields.pop()  # the empty string after the last line break
+    columns = [fields[j::n_fields] for j in range(n_fields)]
+    # a whitespace-only line, which _read_table skips, has a blank last field
+    return columns if all(map(str.strip, columns[-1])) else None
+
+
 # ── catalog ──────────────────────────────────────────────────────────
 
 def load_catalog(path: str | Path) -> ClassCatalog:
@@ -120,6 +160,22 @@ def load_manifest(path: str | Path, catalog: ClassCatalog) -> DatasetManifest:
     path = Path(path)
     position = {name: c for c, name in enumerate(catalog.names)}
     code = {split: s for s, split in enumerate(SPLITS)}
+    columns = _read_columns(path, 3)
+    if columns is not None and len(set(columns[0])) == len(columns[0]):
+        item_ids, class_names, splits = columns
+        try:
+            return DatasetManifest(
+                item_ids=item_ids,
+                labels=np.fromiter(map(position.__getitem__, class_names), np.intp, len(item_ids)),
+                splits=np.fromiter(map(code.__getitem__, splits), np.int8, len(item_ids)),
+            )
+        except KeyError:
+            pass
+    return _manifest_by_lines(path, position, code)
+
+
+def _manifest_by_lines(path: Path, position: dict[str, int], code: dict[str, int]):
+    """``load_manifest`` line by line: raises the error of the first bad line."""
     item_ids: list[str] = []
     labels: list[int] = []
     splits: list[int] = []
@@ -185,20 +241,59 @@ def write_prompt_bank(bank: PromptBank, path: str | Path) -> None:
 
 # ── binary layout: embedding caches and checkpoints ──────────────────
 
+class RowWriter:
+    """The payload of a binary file being written, filled in order, one block
+    of rows at a time: ``writer[start:stop] = rows`` casts ``rows`` to
+    float32, checks them finite and writes them."""
+
+    def __init__(self, fh: BinaryIO, shape: tuple[int, int], path: str | Path):
+        self.shape, self.written = shape, 0
+        self._fh, self._path = fh, path
+
+    def __setitem__(self, span: slice, rows: np.ndarray) -> None:
+        rows = np.ascontiguousarray(rows, dtype="<f4")
+        expected = (span.stop - span.start, self.shape[1])
+        if span.start != self.written or span.stop > self.shape[0] or rows.shape != expected:
+            raise ValueError(
+                f"rows [{span.start}:{span.stop}] of shape {rows.shape} do not continue "
+                f"a {self.shape} payload at row {self.written}"
+            )
+        check_finite(rows, f"{self._path}: payload")
+        rows.tofile(self._fh)
+        self.written = span.stop
+
+
 def write_binary(
-    path: str | Path, magic: bytes, fields: tuple[int, ...], values: np.ndarray, trailer: bytes
+    path: str | Path,
+    magic: bytes,
+    fields: tuple[int, ...],
+    values: np.ndarray | Callable[[RowWriter], object],
+    trailer: bytes,
+    shape: tuple[int, int] | None = None,
 ) -> None:
-    """Write ``magic``, the u32 ``fields`` and the rows and width of the 2-D
-    ``values``, then ``values`` as row-major little-endian float32, then
-    ``trailer``, through ``write_atomic``. Output bytes are a pure function
-    of the arguments; float64 values are cast to float32.
+    """Write ``magic``, the u32 ``fields`` and the payload's rows and width, then
+    the payload as row-major little-endian float32, then ``trailer``, through
+    ``write_atomic``.
+
+    The payload ``values`` is a 2-D array, or, given its ``shape``, a function
+    that fills it through a ``RowWriter``, so that it is never held whole.
+    Output bytes are a pure function of the payload.
     """
-    values = np.ascontiguousarray(values, dtype="<f4")
-    head = magic + struct.pack(f"<{len(fields) + 2}I", *fields, *values.shape)
+    streamed = shape is not None
+    if not streamed:
+        values = np.ascontiguousarray(values, dtype="<f4")
+        shape = values.shape
+    head = magic + struct.pack(f"<{len(fields) + 2}I", *fields, *shape)
 
     def write(fh: BinaryIO) -> None:
         fh.write(head)
-        values.tofile(fh)
+        if streamed:
+            writer = RowWriter(fh, shape, path)
+            values(writer)
+            if writer.written != shape[0]:
+                raise ValueError(f"{writer.written} of the {shape[0]} payload rows were written")
+        else:
+            values.tofile(fh)
         fh.write(trailer)
 
     write_atomic(path, write)
@@ -214,7 +309,8 @@ def read_binary(
     payload is a ``DataError`` naming ``path``. A magic ends in its format
     version, so a file of another version is named as one, with the
     ``stage`` that writes the current one. The size is checked before the
-    payload is allocated, and the payload is read straight into it.
+    file is mapped, and the payload is a read-only view of the map: no copy
+    is made, and pages are read as the rows are used.
     """
     path = Path(path)
     header = struct.Struct(f"<{n_fields + 2}I")
@@ -241,22 +337,38 @@ def read_binary(
                     f"{path}: truncated payload, header declares {rows}x{width} "
                     f"({expected} bytes) but found {found}"
                 )
-            values = np.empty((rows, width), dtype="<f4")
-            if fh.readinto(values) != expected:
-                raise DataError(f"{path}: file shrank while it was read")
-            trailer = fh.read()
+            # Every writer in this package replaces a file through
+            # ``write_atomic`` (a rename), so a mapped file is never truncated
+            # in place; a file cut short by another program before the map is
+            # taken is caught below.
+            try:
+                data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            except ValueError:  # the file is empty now
+                data = b""
     except OSError as e:
         raise _unreadable(path, e, "file", DataError) from None
-    return tuple(fields), values, trailer
+    end = len(head) + expected
+    if len(data) < end:
+        raise DataError(f"{path}: file shrank while it was read")
+    values = np.frombuffer(data, "<f4", rows * width, len(head)).reshape(rows, width)
+    return tuple(fields), values, data[end:]
 
 
-def write_embedding_cache(matrix: EmbeddingMatrix, path: str | Path) -> None:
-    """Write ``matrix`` as ``BMCEMB1`` + u32 rows + u32 dim + float32 rows."""
-    write_binary(path, CACHE_MAGIC, (), matrix.values, b"")
+def write_embedding_cache(
+    rows: EmbeddingMatrix | np.ndarray | Callable[[RowWriter], object],
+    path: str | Path,
+    shape: tuple[int, int] | None = None,
+) -> None:
+    """Write ``rows`` as ``BMCEMB1`` + u32 rows + u32 dim + float32 rows: an
+    ``EmbeddingMatrix``, a 2-D array, or a function that fills a payload of
+    ``shape`` through a ``RowWriter`` (``write_binary``)."""
+    values = rows.values if isinstance(rows, EmbeddingMatrix) else rows
+    write_binary(path, CACHE_MAGIC, (), values, b"", shape)
 
 
 def read_embedding_cache(path: str | Path) -> EmbeddingMatrix:
-    """Read a cache written by ``write_embedding_cache``."""
+    """Read a cache written by ``write_embedding_cache``; its rows are a
+    read-only view of the file (``read_binary``)."""
     _, values, trailer = read_binary(path, CACHE_MAGIC, "an embedding cache")
     if trailer:
         raise DataError(f"{path}: {len(trailer)} unexpected bytes after the payload")
@@ -273,6 +385,22 @@ def load_cache_index(path: str | Path) -> dict[str, int]:
     the signs, spaces, underscores and non-ASCII digits that ``int`` also
     takes are rejected."""
     path = Path(path)
+    columns = _read_columns(path, 2)
+    if columns is not None:
+        item_ids, rows = columns
+        digits = "".join(rows)
+        if not rows or (digits.isascii() and digits.isdigit()):
+            try:
+                index = dict(zip(item_ids, map(int, rows)))
+            except ValueError:  # more digits than int() takes: left to the line parser
+                index = None
+            if index is not None and len(index) == len(item_ids):
+                return index
+    return _index_by_lines(path)
+
+
+def _index_by_lines(path: Path) -> dict[str, int]:
+    """``load_cache_index`` line by line: raises the error of the first bad line."""
     index: dict[str, int] = {}
     for lineno, (item_id, row) in _read_table(path, 2):
         if item_id in index:

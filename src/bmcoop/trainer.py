@@ -173,15 +173,17 @@ def train_run(
 
     Passing a ``state`` (fresh or loaded from a checkpoint) resumes at
     ``state.epoch``; the returned logs cover only the epochs run here.
-    A state of another encoder, malformed support rows, labels or teacher
-    rows, and a non-positive tau, raise a ``DataError`` before the first
-    step; a non-finite loss or stored context raises a ``NumericError``
-    carrying the last step's state.
+    A state of another encoder or saved under another ``learning_rate`` or
+    ``context_init_text`` (``_check_resume``), malformed support rows, labels
+    or teacher rows, and a non-positive tau, raise a ``DataError`` before
+    the first step; a non-finite loss or stored context raises a
+    ``NumericError`` carrying the last step's state.
     """
-    if state is None:
-        state = initial_state(handle, config)
-    else:
+    resumed = state is not None
+    if resumed:
         check_encoder(state, handle)
+    else:
+        state = initial_state(handle, config)
 
     v_unit, labels, teacher_unit = prepare_support(
         images, labels, len(class_names), handle.embedding_dim, handle.tau, teacher_ensemble,
@@ -197,6 +199,8 @@ def train_run(
     def context() -> np.ndarray:  # ctx0 - lr·PᵀH, as stored
         return _stored_context(ctx0, lr * (handle.projection.T @ state.h_sum))
 
+    if resumed:
+        _check_resume(state, ctx0, lr * (handle.projection.T @ state.h_sum))
     logs: list[EpochLog] = []
 
     for epoch in range(state.epoch, config.epochs):
@@ -232,6 +236,24 @@ def train_run(
         state.epoch = epoch + 1
         logs.append(EpochLog(epoch=epoch, breakdown=epoch_breakdown, train_acc=train_acc))
     return state, logs
+
+
+def _check_resume(state: TrainState, ctx0: np.ndarray, step_sum: np.ndarray) -> None:
+    """Reject a state whose stored context is not ``ctx0 - step_sum``
+    (``step_sum = lr·PᵀH``) under the resuming config: its ``s`` and ``H``
+    were built under another learning rate or init text.
+
+    Each value may differ by 2⁻²² of the magnitude of its two terms, which
+    covers the float32 rounding of the stored value and of the recomputed
+    one, with the terms formed at another BLAS thread count.
+    """
+    expected = _stored_context(ctx0, step_sum)
+    tolerance = 2.0**-22 * (np.abs(ctx0) + np.abs(step_sum))
+    if np.any(np.abs(state.ctx - expected) > tolerance):
+        raise DataError(
+            "the state's stored context is not this config's initial context less "
+            "lr·PᵀH: the state was saved under another learning_rate or context_init_text"
+        )
 
 
 def _numeric_abort(

@@ -34,8 +34,11 @@ def row_blocks(rows: np.ndarray, positions: np.ndarray | None = None):
 
 
 def check_finite(values: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(values)):
-        raise DataError(f"{what} contains non-finite values")
+    """Reject an array with a NaN or an infinity, checking ``BLOCK_ROWS`` rows
+    at a time, so that no mask of the whole array is made."""
+    for start in range(0, len(values), BLOCK_ROWS):
+        if not np.isfinite(values[start : start + BLOCK_ROWS]).all():
+            raise DataError(f"{what} contains non-finite values")
 
 
 def normalize_rows(
@@ -47,7 +50,8 @@ def normalize_rows(
     A zero row has no direction (its cosine is undefined), so it is a
     ``DataError`` naming the row: ``names[i]`` when given, else its index.
     """
-    norms = np.linalg.norm(rows, axis=1)
+    # the bits of np.linalg.norm(rows, axis=1), without its conj() copy of rows
+    norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         row = zero[0] if names is None else repr(names[zero[0]])
@@ -153,9 +157,17 @@ class PromptBank:
         return notes
 
 
+# Largest geometry a run may ask for. Each value sizes an allocation made
+# before any work: the (M, W) context, the (D, W) text projection and its
+# (D, D) Gram matrix. At the maxima these hold 32 MB and 128 MB each, well
+# above CLIP-sized backbones (D and W of 512 to 1280, context of 4 to 16).
+MAX_GEOMETRY = {"context_length": 1024, "embedding_dim": 4096, "token_width": 4096}
+
+
 @dataclass
 class RunConfig:
-    """All run hyperparameters with the framework defaults."""
+    """All run hyperparameters with the framework defaults; ``MAX_GEOMETRY``
+    bounds the encoder and context sizes."""
 
     lambda1: float = 0.5
     lambda2: float = 0.25
@@ -194,6 +206,9 @@ class RunConfig:
         ):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be a positive integer")
+        for key, maximum in MAX_GEOMETRY.items():
+            if getattr(self, key) > maximum:
+                raise ConfigError(f"{key} must be at most {maximum}, got {getattr(self, key)}")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.seed < 0:

@@ -313,6 +313,20 @@ class TestVisionEncoder:
         with pytest.raises(DataError, match=f"zero-norm row {BLOCK_ROWS + 2} in image"):
             enc.encode(x)
 
+    def test_out_takes_the_blocks_in_order(self):
+        enc = SyntheticVisionEncoder(seed=7, feature_dim=12, embedding_dim=20)
+        x = np.random.default_rng(5).standard_normal((2 * BLOCK_ROWS + 3, 12)).astype(np.float32)
+
+        class Blocks(list):  # float64 rows, stored as float32 as an array stores them
+            def __setitem__(self, span, rows):
+                self.append((span, rows.astype(np.float32)))
+
+        blocks = enc.encode(x, out=Blocks())
+        assert [(span.start, span.stop) for span, _ in blocks] == [
+            (0, BLOCK_ROWS), (BLOCK_ROWS, 2 * BLOCK_ROWS), (2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 3)
+        ]
+        assert np.array_equal(np.concatenate([rows for _, rows in blocks]), enc.encode(x))
+
     def test_zero_rejected(self):
         # a 1-d map, so that P @ (pinv(P) @ -b) cancels the bias exactly
         enc = SyntheticVisionEncoder(seed=4, feature_dim=1, embedding_dim=1)
@@ -379,6 +393,13 @@ class TestCachedVisionSource:
         assert source.positions([]).shape == (0,)
         with pytest.raises(DataError, match="'img99' not present in the embedding cache index"):
             source.positions(["img99"])
+
+    def test_positions_of_an_array_of_ids(self):
+        source = self.make_source()
+        ids = np.array(["img2", "gone", "img0", "lost"], dtype=object)
+        assert source.positions(ids[[0, 2]]).tolist() == [2, 0]
+        with pytest.raises(DataError, match="'gone' not present"):
+            source.positions(ids)
 
     def test_index_outside_matrix_rejected(self):
         with pytest.raises(DataError, match="outside"):

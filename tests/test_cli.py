@@ -378,6 +378,15 @@ class TestEncodeCommands:
         norms = np.linalg.norm(out.values.astype(np.float64), axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-5
 
+    def test_encode_images_streams_the_rows_of_one_encode(self, tmp_path):
+        config_path = self.features_config(tmp_path, {"it0": 0})
+        feats = np.random.default_rng(1).standard_normal((2 * BLOCK_ROWS + 3, 6))
+        write_embedding_cache(EmbeddingMatrix(values=feats.astype(np.float32)), tmp_path / "feats.emb")
+        assert run("encode-images", str(config_path)) == 0
+        features = read_embedding_cache(tmp_path / "feats.emb").values
+        expected = SyntheticVisionEncoder(feature_dim=6, embedding_dim=16).encode(features)
+        assert np.array_equal(read_embedding_cache(tmp_path / "images.emb").values, expected)
+
     def test_encode_images_zero_row_names_the_item(self, tmp_path, capsys, monkeypatch):
         # no float32 feature cancels a float64 bias exactly, so zero the bias:
         # an all-zero feature row then encodes to an exactly zero row
@@ -584,6 +593,34 @@ class TestExitCodes:
         rewrite(config_path, config, checkpoint=str(ckpt))
         assert run("eval", str(config_path)) == 3
         assert "category=data" in capsys.readouterr().err
+
+    def test_absurd_geometry_is_2(self, toy_dataset, capsys):
+        # a (10^15, W) context would be asked for; it is refused before any work
+        tmp_path, config, config_path = toy_dataset
+        assert run("train", str(config_path), ["context_length=1000000000000000"]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("bmcoop-error")]
+        assert len(errors) == 1
+        assert errors[0].startswith("bmcoop-error category=config ")
+        assert "context_length must be at most" in errors[0]
+
+    def test_missing_item_named_only_when_requested(self, toy_dataset, capsys):
+        tmp_path, config, config_path = toy_dataset
+        index = load_cache_index(tmp_path / "images.idx")
+        test_ids = [item for item in index if item.startswith("test-")]
+        # a val item is never requested when eval scores the test split
+        del index[next(item for item in index if item.startswith("val-"))]
+        write_cache_index(index, tmp_path / "images.idx")
+        for command in ("train", "eval"):
+            assert run(command, str(config_path)) == 0
+        # the first missing test item in manifest order is named
+        del index[test_ids[9]], index[test_ids[4]]
+        write_cache_index(index, tmp_path / "images.idx")
+        assert run("eval", str(config_path)) == 3
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("bmcoop-error")]
+        assert len(errors) == 1
+        assert f"item id {test_ids[4]!r} not present in the embedding cache index" in errors[0]
 
     def test_negative_seed_is_2(self, toy_dataset, capsys):
         tmp_path, config, config_path = toy_dataset

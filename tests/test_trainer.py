@@ -342,6 +342,25 @@ class TestCheckpoints:
         assert logs[0].epoch == 10
         assert np.array_equal(resumed.ctx, straight.ctx)
 
+    @pytest.mark.parametrize("change", [
+        {"learning_rate": 0.005},
+        {"context_init_text": "an image of a"},
+    ])
+    def test_resume_under_another_config_rejected(self, desk_task, tmp_path, change):
+        # s and H were built under the saving config; the stored context
+        # formed under the resuming one would not match them
+        images, labels = make_support(desk_task)
+        halfway, _ = train_run(
+            images, labels, desk_task.names, desk_task.handle, desk_task.config(epochs=3)
+        )
+        path = tmp_path / "half.ckpt"
+        save_checkpoint(halfway, path)
+        with pytest.raises(DataError, match="saved under another learning_rate or context_init_text"):
+            train_run(
+                images, labels, desk_task.names, desk_task.handle,
+                desk_task.config(epochs=6, **change), state=load_checkpoint(path),
+            )
+
     def test_checkpoint_bytes_stable_across_identical_runs(self, desk_task, tmp_path):
         images, labels = make_support(desk_task)
         cfg = desk_task.config(epochs=4)

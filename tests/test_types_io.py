@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bmcoop import io
 from bmcoop.cli import parse_config
 from bmcoop.errors import BmcoopError, ConfigError, DataError
 from bmcoop.io import (
@@ -34,6 +35,7 @@ from bmcoop.trainer import (
 )
 from bmcoop.types import (
     BLOCK_ROWS,
+    MAX_GEOMETRY,
     SPLITS,
     ClassCatalog,
     EmbeddingMatrix,
@@ -202,6 +204,57 @@ class TestEmbeddingCache:
         monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(DataError, match="rename refused"):
             write_embedding_cache(EmbeddingMatrix(values=np.zeros((4, 3), dtype=np.float32)), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.emb"]
+
+    def test_payload_is_a_read_only_view_of_the_file(self, tmp_path):
+        path = tmp_path / "m.emb"
+        first = np.arange(6, dtype=np.float32).reshape(2, 3)
+        write_embedding_cache(EmbeddingMatrix(values=first), path)
+        mapped = read_embedding_cache(path).values
+        assert not mapped.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            mapped[0, 0] = 1.0
+        # a write replaces the file by a rename, so a mapped view keeps its rows
+        write_embedding_cache(EmbeddingMatrix(values=-first), path)
+        assert np.array_equal(mapped, first)
+        assert np.array_equal(read_embedding_cache(path).values, -first)
+
+    def test_streamed_blocks_write_the_bytes_of_the_whole_array(self, tmp_path):
+        values = np.random.default_rng(2).standard_normal((9, 4))
+        whole, streamed = tmp_path / "whole.emb", tmp_path / "streamed.emb"
+        write_embedding_cache(EmbeddingMatrix(values=values.astype(np.float32)), whole)
+
+        def fill(rows):
+            # float64 blocks are cast as the array is; an empty block adds nothing
+            for a, b in ((0, 4), (4, 4), (4, 8), (8, 9)):
+                rows[a:b] = values[a:b]
+
+        write_embedding_cache(fill, streamed, shape=(9, 4))
+        assert streamed.read_bytes() == whole.read_bytes()
+        empty = tmp_path / "empty.emb"
+        write_embedding_cache(lambda rows: None, empty, shape=(0, 4))
+        assert read_embedding_cache(empty).values.shape == (0, 4)
+
+    @pytest.mark.parametrize("blocks, error, match", [
+        ([np.ones((2, 3)), np.full((1, 3), np.inf)], DataError, "payload contains non-finite"),
+        ([np.ones((2, 3))], ValueError, "2 of the 3 payload rows were written"),
+        ([np.ones((2, 3)), np.ones((2, 3))], ValueError, r"rows \[2:4\] of shape \(2, 3\) do not"),
+        ([np.ones((3, 2))], ValueError, r"rows \[0:3\] of shape \(3, 2\) do not continue"),
+    ])
+    def test_streamed_write_checks_each_block(self, tmp_path, blocks, error, match):
+        path = tmp_path / "m.emb"
+        write_embedding_cache(EmbeddingMatrix(values=np.zeros((1, 3), dtype=np.float32)), path)
+        before = path.read_bytes()
+
+        def fill(rows):
+            start = 0
+            for block in blocks:
+                rows[start : start + len(block)] = block
+                start += len(block)
+
+        with pytest.raises(error, match=match):
+            write_embedding_cache(fill, path, shape=(3, 3))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.emb"]
 
@@ -376,6 +429,12 @@ class TestNormalizeRows:
         assert np.array_equal(big[3:7], x[3:7] / np.linalg.norm(x[3:7], axis=1)[:, None])
         assert np.array_equal(big[:3], x[:3]) and np.array_equal(big[7:], x[7:])
 
+    def test_norms_are_the_bits_of_linalg_norm(self):
+        rng = np.random.default_rng(8)
+        rows = rng.standard_normal((300, 33)) * 10.0 ** rng.integers(-150, 151, (300, 1))
+        expected = np.linalg.norm(rows, axis=1)
+        assert np.array_equal(normalize_rows(rows.copy(), "rows"), expected)
+
     def test_zero_row_named(self):
         rows = np.ones((3, 4))
         rows[1] = 0.0
@@ -434,6 +493,14 @@ class TestRunConfig:
                     RunConfig(**{key: value})
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             RunConfig(seed=-1)
+
+    def test_geometry_bounded(self):
+        # each key sizes an allocation; RunConfig itself allocates nothing
+        for key, maximum in MAX_GEOMETRY.items():
+            assert getattr(RunConfig(**{key: maximum}), key) == maximum
+            for value in (maximum + 1, 10**15):
+                with pytest.raises(ConfigError, match=f"{key} must be at most {maximum}, got {value}"):
+                    RunConfig(**{key: value})
 
 
 
@@ -595,3 +662,126 @@ class TestLoadersOnArbitraryBytes:
         path.write_bytes(b"\xef\xbb\xbfab\xff\tx\n")
         with pytest.raises(DataError, match="invalid byte at offset 5"):
             load_catalog(path)
+
+
+# Generated tab-separated text for the differential loader property: a
+# well-formed table (unique ids, right values, "\n" or "\r\n" breaks) with
+# up to three faults, each a line break ``str.splitlines`` also honours, a
+# blank or whitespace-only line, a line one field short or long, a wrong
+# value or a repeated line.
+IDS = ["a", "b", "c", "img1", " a", "\u00e9"]
+TABLES = {
+    "manifest": (
+        lambda p: load_manifest(p, CATALOG),
+        lambda p: io._manifest_by_lines(p, {"benign": 0, "malignant": 1}, {s: i for i, s in enumerate(SPLITS)}),
+        [["benign", "malignant"], list(SPLITS)],
+        [["cyst", " benign", ""], ["holdout", "Test", " test", "test ", ""]],
+    ),
+    "cache index": (
+        load_cache_index,
+        io._index_by_lines,
+        [["0", "1", "2", "10", "007"]],
+        [["+3", "1_0", "\u0663", " 7", "7 ", "-1", ""]],
+    ),
+}
+BLANK_LINES = ["", " ", "\t", " \t ", "\t\t", "\u3000"]
+LINE_BREAKS = ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@st.composite
+def table_texts(draw):
+    kind = draw(st.sampled_from(sorted(TABLES)))
+    _, _, right, wrong = TABLES[kind]
+    values = st.sampled_from
+    ids = draw(st.lists(values(IDS), max_size=6, unique=True))
+    lines = [[i, *(draw(values(column)) for column in right)] for i in ids]
+    breaks = [draw(values(["\n", "\r\n"]))] * len(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(values(["break", "blank", "short", "long", "value", "repeat"]))
+        at = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if fault == "blank" or not lines:
+            lines.insert(at, [draw(values(BLANK_LINES))])
+            breaks.insert(at, "\n")
+        elif fault == "break":
+            breaks[at] = draw(values(LINE_BREAKS))
+        elif fault == "short":
+            lines[at] = lines[at][:-1]
+        elif fault == "long":
+            lines[at] = lines[at] + [draw(values(right[-1] + wrong[-1]))]
+        elif fault == "value":
+            j = draw(st.integers(1, len(right)))
+            lines[at] = lines[at][:j] + [draw(values(wrong[j - 1]))] + lines[at][j + 1 :]
+        else:
+            lines.insert(at, list(lines[at]))
+            breaks.insert(at, "\n")
+    lines = ["\t".join(fields) for fields in lines] + [""] * draw(st.integers(0, 2))
+    breaks += ["\n"] * (len(lines) - len(breaks))
+    if lines and draw(st.booleans()):
+        breaks[-1] = ""  # no break after the last line
+    text = draw(values(["", "\ufeff"])) + "".join(map(str.__add__, lines, breaks))
+    return kind, text
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except DataError as e:
+        return str(e)
+
+
+class TestColumnarLoaders:
+    def test_columns_of_a_well_formed_file(self, tmp_path):
+        path = tmp_path / "index.tsv"
+        for text in (b"\xef\xbb\xbfa\t0\r\nb\t7\nc\t007\n", b"a\t0\r\nb\t7\nc\t007"):
+            path.write_bytes(text)
+            assert io._read_columns(path, 2) == [["a", "b", "c"], ["0", "7", "007"]]
+            assert load_cache_index(path) == {"a": 0, "b": 7, "c": 7}
+        # blank lines are left to the line parser
+        path.write_bytes(b"a\t0\n\nb\t7\n\n")
+        assert io._read_columns(path, 2) is None
+        assert load_cache_index(path) == {"a": 0, "b": 7}
+
+    @pytest.mark.parametrize("text, expected", [
+        # two fields too many on line 1 and too few on line 2: the right total
+        ("a\t0\tb\n1\n", ":1: expected 2 tab-separated fields, got 3"),
+        # a whitespace-only line is skipped, and still counted
+        ("a\t0\n \t \nb\t1\n", {"a": 0, "b": 1}),
+        ("a\t0\n \t \nb\t+1\n", ":3: row index '+1' is not"),
+        # a lone carriage return and a line separator end lines too
+        ("a\rb\t0\n", ":1: expected 2 tab-separated fields, got 1"),
+        ("a\t0\u2028b\t1", {"a": 0, "b": 1}),
+        # trailing spaces belong to the last field
+        ("a\t0\nb\t1 \n", ":2: row index '1 ' is not"),
+    ])
+    def test_index_edge_cases(self, tmp_path, text, expected):
+        path = tmp_path / "index.tsv"
+        path.write_text(text, encoding="utf-8", newline="")
+        if isinstance(expected, dict):
+            assert load_cache_index(path) == expected
+        else:
+            with pytest.raises(DataError, match=re.escape(expected)):
+                load_cache_index(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=table_texts())
+    def test_loaders_equal_the_line_parser(self, case, tmp_path_factory):
+        kind, text = case
+        load, by_lines, right, _ = TABLES[kind]
+        n = len(right) + 1
+        path = tmp_path_factory.mktemp("table") / "input.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        got, want = _outcome(load, path), _outcome(by_lines, path)
+        if isinstance(want, str):
+            assert got == want
+        elif kind == "manifest":
+            assert got.item_ids == want.item_ids
+            for field in ("labels", "splits"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        else:
+            assert got == want and list(got.items()) == list(want.items())
+        # when the columnar split takes a file, it has the line parser's fields
+        split = io._read_columns(path, n)
+        if split is not None:
+            rows = [fields for _, fields in io._read_table(path, n)]
+            assert split == [list(column) for column in zip(*rows)]

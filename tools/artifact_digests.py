@@ -8,8 +8,10 @@ and prints one ``<sha256>  <artifact>`` line per primary artifact, paths
 relative to ``--work``. Every path written into the configs names ``--work``,
 so two checkouts run with the same ``--work`` should print the same lines
 when their artifacts are byte-identical; compare them with ``diff``. The
-stages use the sources of the checkout this file sits in. Exits 1 if a
-stage fails.
+stages use the sources of the checkout this file sits in. ``--threads N``
+runs them at N BLAS threads (1 by default, as the benchmark does), so two
+runs at different counts into one ``--work`` show whether the bytes depend
+on the thread count. Exits 1 if a stage fails.
 """
 
 from __future__ import annotations
@@ -31,10 +33,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--work", type=Path, required=True)
+    parser.add_argument("--threads", type=int, default=int(bench_run.BLAS_THREADS),
+                        help="BLAS threads of the input generator and every stage")
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"--threads must be at least 1, got {args.threads}")
 
     # before numpy is first imported, as in perfbench/run.py
-    os.environ.update({var: bench_run.BLAS_THREADS for var in bench_run.BLAS_VARS})
+    os.environ.update({var: str(args.threads) for var in bench_run.BLAS_VARS})
     sys.path.insert(0, str(bench_run.SRC))
     from workloads import WORKLOADS
 
