@@ -90,8 +90,10 @@ class TextGradTape:
         if g.shape != self.unit.shape:
             raise DataError(f"gradient has shape {g.shape}, embeddings have {self.unit.shape}")
         radial = np.einsum("cd,cd->c", g, self.unit)
-        g_raw = (g - radial[:, None] * self.unit) / self.raw_norm[:, None]
-        return (g_raw / self.seq_len[:, None]).sum(axis=0)
+        g_raw = g - radial[:, None] * self.unit
+        g_raw /= self.raw_norm[:, None]
+        g_raw /= self.seq_len[:, None]
+        return np.add.reduce(g_raw, axis=0)
 
 
 class SyntheticTextEncoder:

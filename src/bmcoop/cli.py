@@ -11,9 +11,9 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure,
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
-import logging
 import math
 import os
 import platform
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, io, promptgen, trainer
+from . import evaluation, io, trainer
 from .backbone import (
     CachedVisionSource,
     SyntheticTextEncoder,
@@ -40,7 +40,8 @@ from .errors import BmcoopError, ConfigError, DataError, NumericError
 from .objective import cosine_logits, predict
 from .types import SPLITS, ClassCatalog, RunConfig
 
-log = logging.getLogger("bmcoop.cli")
+# ``BMCOOP_LOG`` as ``main`` read it, applied at the first message (``_logger``)
+_log_level: str | None = None
 
 RUN_KEYS = tuple(f.name for f in fields(RunConfig))
 
@@ -246,7 +247,18 @@ def _accuracy(logits: np.ndarray, labels: np.ndarray, first: int, stop: int) -> 
 
 # ── commands: each returns the primary artifacts it wrote ─────────────
 
+def _logger():
+    """The ``bmcoop.cli`` logger; ``logging`` is imported and set up at the first message."""
+    import logging
+
+    if _log_level is not None:  # a no-op once the root logger has a handler
+        logging.basicConfig(level=logging.DEBUG if _log_level == "debug" else logging.INFO)
+    return logging.getLogger("bmcoop.cli")
+
+
 def cmd_gen_prompts(cfg: LoadedConfig) -> list[Path]:
+    from . import promptgen  # only this command talks to an endpoint
+    _logger()  # configured before promptgen writes its first message
     catalog = io.load_catalog(cfg.path("catalog", required=True))
     endpoint = promptgen.LlmEndpointConfig(
         base_url=cfg.values["llm_base_url"],
@@ -269,7 +281,7 @@ def cmd_encode_bank(cfg: LoadedConfig) -> list[Path]:
     catalog = io.load_catalog(cfg.path("catalog", required=True))
     bank = io.load_prompt_bank(cfg.path("bank", required=True))
     for note in bank.validate(catalog):
-        log.warning("bank diagnostic: %s", note)
+        _logger().warning("bank diagnostic: %s", note)
     embeds = encode_text_bank(_text_handle(cfg), bank, catalog.names)
     out = cfg.path("bank_cache", required=True)
     io.write_embedding_cache(embeds, out)
@@ -465,12 +477,15 @@ def _dump_abort_state(config_path: str, e: NumericError) -> None:
     }
     try:
         io.write_json(dump, state)
-        log.error("wrote abort state dump: %s", dump)
+        _logger().error("wrote abort state dump: %s", dump)
     except DataError:
-        log.error("could not write abort state dump")
+        _logger().error("could not write abort state dump")
 
 
 def main(argv: list[str] | None = None) -> int:
+    global _log_level
+    # import-time objects live until exit; frozen, the collector never walks them again
+    gc.freeze()
     parser = argparse.ArgumentParser(
         prog="bmcoop",
         description="Prompt-context learning runs driven by one JSON config.",
@@ -482,8 +497,7 @@ def main(argv: list[str] | None = None) -> int:
         help="key=value overrides of run-config keys",
     )
     args = parser.parse_args(argv)
-    level = os.environ.get("BMCOOP_LOG", "info").lower()
-    logging.basicConfig(level=logging.DEBUG if level == "debug" else logging.INFO)
+    _log_level = os.environ.get("BMCOOP_LOG", "info").lower()
     return run(args.command, args.config, args.overrides)
 
 

@@ -12,6 +12,9 @@ classes in catalog order, so a class subset is a slice of its first axis.
 
 Ensemble rows are plain means and are NOT re-normalized to unit length;
 downstream cosine computations normalize on the fly.
+
+The MAD rule's medians (``_median``) have ``np.median``'s bits without its
+first-call import of ``numpy.ma``, which every selecting stage would pay.
 """
 
 from __future__ import annotations
@@ -64,6 +67,16 @@ def prompt_scores(bank_embeddings: np.ndarray, images: np.ndarray, beta: float) 
     return beta * (bank @ images.T).mean(axis=2)
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty float64 vector, bit for bit: the mean of its middle
+    sorted value or two, summed from +0.0 as ``np.mean`` sums (so a zero median is
+    +0.0 whichever zeros sort there); a NaN sorts last and makes the median NaN."""
+    ordered = np.sort(values)
+    n = len(ordered)
+    middle = ordered[(n - 1) // 2 : n // 2 + 1]
+    return float(ordered[-1] if np.isnan(ordered[-1]) else np.add.reduce(middle) / len(middle))
+
+
 def mad_zscores(scores: np.ndarray) -> tuple[float, float, np.ndarray]:
     """Median, median absolute deviation, and modified z-scores of a score vector.
 
@@ -74,8 +87,8 @@ def mad_zscores(scores: np.ndarray) -> tuple[float, float, np.ndarray]:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1 or scores.size < 1:
         raise DataError("scores must be a non-empty vector")
-    median = float(np.median(scores))
-    mad = float(np.median(np.abs(scores - median)))
+    median = _median(scores)
+    mad = _median(np.abs(scores - median))
     if mad == 0.0:
         z = np.zeros_like(scores)
     else:

@@ -409,7 +409,10 @@ def _index_by_lines(path: Path) -> dict[str, int]:
             raise DataError(
                 f"{path}:{lineno}: row index {row!r} is not a non-negative decimal integer"
             )
-        index[item_id] = int(row)
+        try:
+            index[item_id] = int(row)
+        except ValueError:  # more digits than int() takes
+            raise DataError(f"{path}:{lineno}: row index too long: {len(row)} digits") from None
     return index
 
 

@@ -20,8 +20,9 @@ A training run derives each shared quantity once:
                  out of both
   once per step  one class-text encode, whose unit rows are scored as
                  they are (no second normalization), one (B, C) cosine
-                 block and one student log-softmax, held in a
-                 ``StudentScores`` that every loss and gradient term reads
+                 block, one student log-softmax and its exponential, held
+                 in a ``StudentScores`` that every loss and gradient term
+                 reads; the gradient terms are chained and summed in place
 
 Gradients with respect to the context are exact and hand-written: each
 loss is differentiated to dLoss/dTextEmbedding and chained through the
@@ -32,6 +33,7 @@ embeddings contribute zero gradient.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,8 +96,9 @@ def cosine_logits(images: np.ndarray, text: np.ndarray, tau: float, names: list 
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    shifted -= np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+    return shifted
 
 
 def class_probabilities(images: np.ndarray, text: np.ndarray, tau: float) -> np.ndarray:
@@ -168,6 +171,7 @@ class StudentScores:
     t_norms: np.ndarray    # (C,) norms of the ``text`` rows
     cos: np.ndarray        # (B, C) cosine similarities
     log_probs: np.ndarray  # (B, C) student log-softmax of cos / tau
+    probs: np.ndarray      # (B, C) exp(log_probs), read-only
     tau: float
 
 
@@ -179,12 +183,22 @@ def student_scores(v_unit: np.ndarray, text: np.ndarray, tau: float) -> StudentS
 
 def _scores(v_unit, text, t_unit, t_norms, tau) -> StudentScores:
     cos = v_unit @ t_unit.T
-    return StudentScores(text, v_unit, t_unit, t_norms, cos, _log_softmax(cos / tau), tau)
+    log_probs = _log_softmax(cos / tau)
+    probs = np.exp(log_probs)
+    probs.setflags(write=False)
+    return StudentScores(text, v_unit, t_unit, t_norms, cos, log_probs, probs, tau)
+
+
+@functools.cache
+def _rows(n: int) -> np.ndarray:  # a batch's row index, built once per batch size
+    rows = np.arange(n)
+    rows.setflags(write=False)
+    return rows
 
 
 def _ce(log_probs: np.ndarray, labels: np.ndarray) -> float:
     # log-space path: never exponentiates before taking the log
-    return float(-np.mean(log_probs[np.arange(len(labels)), labels]))
+    return -(float(np.add.reduce(log_probs[_rows(len(labels)), labels])) / len(labels))
 
 
 def sccm_loss(text: np.ndarray, ensemble_mean: np.ndarray) -> float:
@@ -196,7 +210,7 @@ def sccm_loss(text: np.ndarray, ensemble_mean: np.ndarray) -> float:
             f"shape mismatch: learned embeddings {text.shape} vs ensemble {ensemble_mean.shape}"
         )
     diff = text - ensemble_mean
-    return float(np.sum(diff * diff))
+    return float(np.add.reduce(diff * diff, axis=None))
 
 
 def _kdsp(log_teacher: np.ndarray, log_student: np.ndarray) -> float:
@@ -204,7 +218,7 @@ def _kdsp(log_teacher: np.ndarray, log_student: np.ndarray) -> float:
     teacher = np.exp(log_teacher)
     terms = np.where(teacher > 0.0, teacher * (log_teacher - log_student), 0.0)
     # clamp away sub-ulp negatives when the distributions coincide
-    return max(0.0, float(np.mean(terms.sum(axis=1))))
+    return max(0.0, float(np.add.reduce(np.add.reduce(terms, axis=1))) / len(terms))
 
 
 def total_loss(
@@ -245,14 +259,16 @@ def total_loss(
 
 def _chain_logits_to_text(grad_logits: np.ndarray, scores: StudentScores) -> np.ndarray:
     accum = grad_logits.T @ scores.v_unit  # (C, D)
-    diag = (grad_logits * scores.cos).sum(axis=0)  # (C,)
-    return (accum - diag[:, None] * scores.t_unit) / (scores.t_norms[:, None] * scores.tau)
+    diag = np.add.reduce(grad_logits * scores.cos, axis=0)  # (C,)
+    accum -= diag[:, None] * scores.t_unit
+    accum /= scores.t_norms[:, None] * scores.tau
+    return accum
 
 
 def ce_grad_wrt_text(scores: StudentScores, labels: np.ndarray) -> np.ndarray:
     """d(batch-mean cross-entropy)/dT, shape (C, D)."""
-    grad_logits = np.exp(scores.log_probs)
-    grad_logits[np.arange(len(labels)), labels] -= 1.0
+    grad_logits = scores.probs.copy()
+    grad_logits[_rows(len(labels)), labels] -= 1.0
     grad_logits /= grad_logits.shape[0]
     return _chain_logits_to_text(grad_logits, scores)
 
@@ -262,8 +278,8 @@ def sccm_grad_wrt_text(text: np.ndarray, ensemble_mean: np.ndarray) -> np.ndarra
 
 
 def kdsp_grad_wrt_text(scores: StudentScores, log_teacher: np.ndarray) -> np.ndarray:
-    student = np.exp(scores.log_probs)
-    grad_logits = (student - np.exp(log_teacher)) / student.shape[0]
+    grad_logits = scores.probs - np.exp(log_teacher)
+    grad_logits /= grad_logits.shape[0]
     return _chain_logits_to_text(grad_logits, scores)
 
 
@@ -295,7 +311,7 @@ def loss_gradient(
     breakdown = total_loss(scores, labels, ensemble_mean, log_teacher, lambda1, lambda2)
     grad_text = ce_grad_wrt_text(scores, labels)
     if lambda1 != 0.0:
-        grad_text = grad_text + lambda1 * sccm_grad_wrt_text(text, ensemble_mean)
+        grad_text += lambda1 * sccm_grad_wrt_text(text, ensemble_mean)
     if lambda2 != 0.0:
-        grad_text = grad_text + lambda2 * kdsp_grad_wrt_text(scores, log_teacher)
+        grad_text += lambda2 * kdsp_grad_wrt_text(scores, log_teacher)
     return breakdown, tape.vjp(grad_text)

@@ -16,6 +16,7 @@ or a stored context that stops being finite ends the run with a
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -206,7 +207,7 @@ def train_run(
     for epoch in range(state.epoch, config.epochs):
         gram = handle.gram()  # built at the first step, so an empty run never builds it
         order = state.rng.permutation(n)
-        sums = np.zeros(3)  # sample-weighted ce / sccm / kdsp
+        ce = sccm = kdsp = 0.0  # sample-weighted sums
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
             breakdown, h = loss_gradient(
@@ -216,19 +217,20 @@ def train_run(
                 config.lambda1, config.lambda2,
             )
             kh = gram @ h
-            if not np.isfinite(breakdown.total):
+            if not math.isfinite(breakdown.total):
                 raise _numeric_abort("loss", epoch, start, breakdown, context(), h, kh)
             state.s = state.s - lr * length * kh
             state.h_sum = state.h_sum + h
-            sums += len(batch) * np.array([breakdown.ce, breakdown.sccm, breakdown.kdsp])
+            ce += len(batch) * breakdown.ce
+            sccm += len(batch) * breakdown.sccm
+            kdsp += len(batch) * breakdown.kdsp
         # float64 holds a context that float32 storage overflows, so the check
         # is on the stored values
         state.ctx = context()
         if not np.isfinite(state.ctx).all():
             raise _numeric_abort("context", epoch, start, breakdown, state.ctx, h, kh)
-        means = sums / n
         epoch_breakdown = LossBreakdown.compose(
-            means[0], means[1], means[2], config.lambda1, config.lambda2
+            ce / n, sccm / n, kdsp / n, config.lambda1, config.lambda2
         )
         train_acc = _accuracy_with_context(
             handle, state.s, length, class_names, images, labels
@@ -286,7 +288,7 @@ def _accuracy_with_context(
 ) -> float:
     text, _ = encode_text_with_context(handle, s, length, class_names)
     probs = class_probabilities(images, text, handle.tau)
-    return float(np.mean(predict(probs) == labels))
+    return np.count_nonzero(predict(probs) == labels) / len(labels)
 
 
 def write_training_log(logs: list[EpochLog], path: str | Path) -> None:

@@ -52,9 +52,9 @@ def normalize_rows(
     """
     # the bits of np.linalg.norm(rows, axis=1), without its conj() copy of rows
     norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        row = zero[0] if names is None else repr(names[zero[0]])
+    if not norms.all():
+        zero = np.flatnonzero(norms == 0.0)[0]
+        row = zero if names is None else repr(names[zero])
         raise DataError(f"zero-norm row {row} in {what}: cosine similarity undefined")
     np.divide(rows, norms[:, None], out=rows if out is None else out)
     return norms

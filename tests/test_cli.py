@@ -622,6 +622,19 @@ class TestExitCodes:
         assert len(errors) == 1
         assert f"item id {test_ids[4]!r} not present in the embedding cache index" in errors[0]
 
+    def test_index_row_beyond_the_int_digit_limit_is_3(self, toy_dataset, capsys):
+        tmp_path, config, config_path = toy_dataset
+        index_path = tmp_path / "images.idx"
+        lines = index_path.read_text().count("\n")
+        with index_path.open("a") as fh:
+            fh.write("huge\t" + "1" * 5000 + "\n")
+        assert run("train", str(config_path)) == 3
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("bmcoop-error")]
+        assert len(errors) == 1
+        assert errors[0].startswith("bmcoop-error category=data ")
+        assert f"images.idx:{lines + 1}: row index too long: 5000 digits" in errors[0]
+
     def test_negative_seed_is_2(self, toy_dataset, capsys):
         tmp_path, config, config_path = toy_dataset
         for command in ("train", "select"):
@@ -872,6 +885,21 @@ class TestUnreadableInputs:
 
 
 def test_cli_import_leaves_http_stack_unloaded():
-    code = "import sys, bmcoop.cli; print(sorted({'requests', 'urllib.request', 'http.client'} & set(sys.modules)))"
+    # promptgen and logging too: only gen-prompts and a logged message need them
+    code = ("import sys, bmcoop.cli; print(sorted({'requests', 'urllib.request', 'http.client', "
+            "'bmcoop.promptgen', 'logging'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_select_and_three_term_train_leave_numpy_ma_unloaded(toy_dataset):
+    # np.median's first call imports numpy.ma; the MAD rule takes its medians without it
+    _, _, config_path = toy_dataset
+    code = (
+        "import sys; from bmcoop.cli import run; "
+        f"assert run('select', {str(config_path)!r}) == 0; "
+        f"assert run('train', {str(config_path)!r}, ['lambda1=0.5', 'lambda2=0.25']) == 0; "
+        "print('numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "False"

@@ -100,6 +100,25 @@ class TestMadZscores:
         with pytest.raises(DataError):
             mad_zscores(np.array([]))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan]), st.floats()),
+        min_size=1, max_size=64,
+    ))
+    def test_median_and_mad_are_np_median_bits(self, values):
+        """The sign of a zero included; a NaN result only as NaN, since
+        several NaNs may carry different bits."""
+        scores = np.array(values)
+        with np.errstate(all="ignore"):
+            median, mad, _ = mad_zscores(scores)
+            want = np.median(scores)
+            want_mad = np.median(np.abs(scores - want))
+        for got, expected in ((median, want), (mad, want_mad)):
+            if np.isnan(expected):
+                assert np.isnan(got)
+            else:
+                assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 10_000),

@@ -12,6 +12,7 @@ from bmcoop import trainer
 from bmcoop.backbone import SyntheticTextEncoder, init_context
 from bmcoop.errors import DataError, NumericError
 from bmcoop.io import load_manifest
+from bmcoop.objective import loss_gradient
 from bmcoop.trainer import (
     TrainState,
     initial_state,
@@ -288,6 +289,99 @@ class TestTrainRun:
         ctx = (ctx0 - cfg.learning_rate * (projection.T @ h_sum)).astype(np.float32)
         assert np.array_equal(state.s, s)
         assert np.array_equal(state.ctx, ctx)
+
+
+def plain_step(handle, s, length, names, v, labels, mean, log_teacher, lambda1, lambda2):
+    """One three-term step as plain expressions, every temporary its own
+    array: (ce, sccm, kdsp, total) and dTotal/ds. ``v`` holds unit rows."""
+    tokens = [handle.token_vectors(name) for name in names]
+    name_rows = np.stack([handle.projection @ t.sum(axis=0) for t in tokens])
+    seq_len = length + np.array([len(t) for t in tokens], dtype=np.float64)
+    raw = (s + name_rows) / seq_len[:, None]
+    raw_norm = np.linalg.norm(raw, axis=1)
+    text = raw / raw_norm[:, None]
+    cos = v @ text.T
+    logits = cos / handle.tau
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    p = np.exp(log_p)
+    rows = np.arange(len(labels))
+    ce = float(-np.mean(log_p[rows, labels]))
+    sccm = float(np.sum((text - mean) * (text - mean)))
+    teacher = np.exp(log_teacher)
+    kl_rows = np.where(teacher > 0.0, teacher * (log_teacher - log_p), 0.0).sum(axis=1)
+    kdsp = max(0.0, float(np.mean(kl_rows)))
+    onehot = np.zeros_like(p)
+    onehot[rows, labels] = 1.0
+
+    def chain(g):  # dL/dT of the logit gradient g; the text rows are unit
+        return (g.T @ v - (g * cos).sum(axis=0)[:, None] * text) / handle.tau
+
+    grad_text = (
+        chain((p - onehot) / len(labels))
+        + lambda1 * (2.0 * (text - mean))
+        + lambda2 * chain((p - teacher) / len(labels))
+    )
+    radial = np.einsum("cd,cd->c", grad_text, text)
+    h = ((grad_text - radial[:, None] * text) / raw_norm[:, None] / seq_len[:, None]).sum(axis=0)
+    return (ce, sccm, kdsp, ce + lambda1 * sccm + lambda2 * kdsp), h
+
+
+class TestThreeTermStep:
+    """The step at lambda = (0.5, 0.25) against ``plain_step``, bit for bit."""
+
+    def setup(self, task):
+        cfg = task.config(epochs=3, lambda1=0.5, lambda2=0.25)
+        images, labels = make_support(task)
+        mean, teacher, _ = prepare_ensembles(task.names, task.aligned_bank(), images, cfg)
+        v = images / np.linalg.norm(images, axis=1, keepdims=True)
+        t_unit = teacher / np.linalg.norm(teacher, axis=1, keepdims=True)
+        logits = (v @ t_unit.T) / task.handle.tau
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_teacher = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        return cfg, images, labels, mean, teacher, v, log_teacher
+
+    def test_loss_gradient_matches_plain_step(self, desk_task):
+        cfg, _, labels, mean, _, v, log_teacher = self.setup(desk_task)
+        handle = desk_task.handle
+        state = initial_state(handle, cfg)
+        length = len(state.ctx)
+        for batch in np.split(np.random.default_rng(4).permutation(len(labels)), 12):
+            args = (v[batch], labels[batch], mean, log_teacher[batch], 0.5, 0.25)
+            breakdown, h = loss_gradient(handle, state.s, length, desk_task.names, *args)
+            want, want_h = plain_step(handle, state.s, length, desk_task.names, *args)
+            assert (breakdown.ce, breakdown.sccm, breakdown.kdsp, breakdown.total) == want
+            assert np.array_equal(h, want_h)
+
+    def test_trajectory_matches_plain_loop(self, desk_task):
+        cfg, images, labels, mean, teacher, v, log_teacher = self.setup(desk_task)
+        handle = desk_task.handle
+        got, state = [], None
+        for k in range(1, cfg.epochs + 1):
+            state, _ = train_run(
+                images, labels, desk_task.names, handle, dataclasses.replace(cfg, epochs=k),
+                ensemble_mean=mean, teacher_ensemble=teacher, state=state,
+            )
+            got.append((state.s.copy(), state.h_sum.copy(), state.ctx.copy()))
+
+        projection = handle.projection
+        ctx0 = init_context(handle, cfg.context_init_text, cfg.context_length)
+        s, h_sum = projection @ ctx0.sum(axis=0), np.zeros(handle.embedding_dim)
+        rng = np.random.default_rng(cfg.seed)
+        for got_s, got_h, got_ctx in got:
+            order = rng.permutation(len(labels))
+            for start in range(0, len(labels), cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                _, h = plain_step(
+                    handle, s, len(ctx0), desk_task.names, v[batch], labels[batch],
+                    mean, log_teacher[batch], 0.5, 0.25,
+                )
+                s = s - cfg.learning_rate * len(ctx0) * ((projection @ projection.T) @ h)
+                h_sum = h_sum + h
+            ctx = (ctx0 - cfg.learning_rate * (projection.T @ h_sum)).astype(np.float32)
+            assert np.array_equal(got_s, s)
+            assert np.array_equal(got_h, h_sum)
+            assert np.array_equal(got_ctx, ctx)
 
 
 class TestTrainingLog:

@@ -313,6 +313,12 @@ class TestCacheIndex:
             with pytest.raises(DataError, match=match):
                 load_cache_index(path)
 
+    def test_row_longer_than_the_int_digit_limit(self, tmp_path):
+        # int() refuses more than 4,300 digits with a ValueError
+        path = tmp_path / "index.tsv"
+        path.write_text("a\t0\nb\t" + "7" * 5000 + "\n")
+        with pytest.raises(DataError, match=":2: row index too long: 5000 digits"):
+            load_cache_index(path)
 
     @pytest.mark.parametrize("row", ["1_0", " 7", "+3", "\u0663", "-1", ""])
     def test_row_is_ascii_decimal_digits(self, tmp_path, row):
