@@ -5,13 +5,11 @@ Embedding caches and checkpoints share a little-endian binary layout
 payload + trailer bytes) that ``write_binary`` writes and ``read_binary``
 reads, so that any implementation in any language reads it bit-identically.
 A payload is read as a read-only view over a map of the file, never copied;
-it is written from an array, or block by block through a ``RowWriter``, so
-a command can write rows it never holds at once.
+it is written through a ``RowWriter``, which checks every block finite, so a
+command can write rows it never holds at once.
 
-The manifest and the cache index are parsed by columns: one split of the
-whole text, then set and dict checks over each column. When a check fails,
-the line parser (``_read_table``) reads the file again and raises the error
-naming the line, so every message is written in one place.
+Each tab-separated format (catalog, manifest, cache index) is read once, by
+``_read_table``, and a bad file is rejected naming its first bad line.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ import mmap
 import os
 import struct
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator
+from typing import BinaryIO, Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -36,6 +34,7 @@ from .types import (
 )
 
 CACHE_MAGIC = b"BMCEMB1"  # 7 bytes
+Table = TypeVar("Table")  # what a tab-separated file is read into
 
 
 # ── files ────────────────────────────────────────────────────────────
@@ -68,21 +67,14 @@ def _unreadable(path: Path, e: OSError, what: str, error: type[BmcoopError]) -> 
     return error(f"cannot read {path}: {e.strerror or e}")
 
 
-def read_file(path: Path, what: str = "file", error: type[BmcoopError] = DataError) -> bytes:
-    """The bytes of ``path``; a missing or unreadable path (a directory, say)
-    raises ``error`` naming it."""
-    try:
-        return path.read_bytes()
-    except OSError as e:
-        raise _unreadable(path, e, what, error) from None
-
-
 def read_text(path: Path, what: str = "file", error: type[BmcoopError] = DataError) -> str:
-    """The UTF-8 text of ``path``, less one leading byte-order mark; any
-    other bytes raise ``error`` naming it."""
+    """The UTF-8 text of ``path``, less one leading byte-order mark; a missing or
+    unreadable path (a directory, say) or any other bytes raise ``error`` naming it."""
     try:
         # not "utf-8-sig", whose error offsets would skip the mark's 3 bytes
-        return read_file(path, what, error).decode("utf-8").removeprefix("\ufeff")
+        return path.read_bytes().decode("utf-8").removeprefix("\ufeff")
+    except OSError as e:
+        raise _unreadable(path, e, what, error) from None
     except UnicodeDecodeError as e:
         raise error(f"{path}: not UTF-8 text (invalid byte at offset {e.start})") from None
 
@@ -98,47 +90,51 @@ def write_json(path: str | Path, doc) -> None:
     write_text(path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _read_table(path: Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) of each non-blank line of a tab-separated file."""
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != n_fields:
-            raise DataError(
-                f"{path}:{lineno}: expected {n_fields} tab-separated fields, got {len(fields)}"
-            )
-        yield lineno, fields
-
-
 # Line breaks that ``str.splitlines`` honours besides "\n" and "\r\n".
 _OTHER_BREAKS = ("\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 # ``bytes.translate`` deletes every byte but tab and newline.
 _NOT_TAB_OR_NEWLINE = bytes(b for b in range(256) if b not in b"\t\n")
 
 
-def _read_columns(path: Path, n_fields: int) -> list[list[str]] | None:
-    """The ``n_fields`` columns of a tab-separated file, from one split of its
-    whole text, when every line has ``n_fields`` fields and a last field that
-    is not blank, and lines end in "\n" or "\r\n". None for any other file,
-    which ``_read_table`` then reads line by line."""
+def _read_table(
+    path: Path, n_fields: int, build: Callable[[list[list[str]], Sequence[int]], Table]
+) -> Table:
+    """Read a tab-separated file once; return ``build(columns, linenos)`` of its
+    non-blank lines. A file of ``n_fields``-field lines ended by "\\n" or
+    "\\r\\n", no last field blank, is split by columns in one pass; any other,
+    line by line. ``build`` raises for its first bad row, and sees the rows
+    before a line of another field count first, so the first bad line is named."""
     text = read_text(path)
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-    if any(mark in text for mark in _OTHER_BREAKS):
-        return None
+    folded = text.replace("\r\n", "\n") if "\r" in text else text
     tabs = b"\t" * (n_fields - 1)
-    ended = text.endswith("\n")
-    shape = (tabs + b"\n") * text.count("\n") + (b"" if ended else tabs)
-    if text.encode().translate(None, _NOT_TAB_OR_NEWLINE) != shape:
-        return None
-    fields = text.replace("\n", "\t").split("\t")
-    del text
-    if ended:
-        fields.pop()  # the empty string after the last line break
-    columns = [fields[j::n_fields] for j in range(n_fields)]
-    # a whitespace-only line, which _read_table skips, has a blank last field
-    return columns if all(map(str.strip, columns[-1])) else None
+    ended = folded.endswith("\n")
+    shape = (tabs + b"\n") * folded.count("\n") + (b"" if ended else tabs)
+    if (not any(mark in folded for mark in _OTHER_BREAKS)
+            and folded.encode().translate(None, _NOT_TAB_OR_NEWLINE) == shape):
+        fields = folded.replace("\n", "\t").split("\t")
+        del text, folded
+        if ended:
+            fields.pop()  # the empty string after the last line break
+        columns = [fields[j::n_fields] for j in range(n_fields)]
+        del fields
+        # a whitespace-only line, which is skipped, has a blank last field
+        if all(map(str.strip, columns[-1])):
+            return build(columns, range(1, len(columns[0]) + 1))
+        text = "\n".join(map("\t".join, zip(*columns)))  # the same lines
+    columns, linenos = [[] for _ in range(n_fields)], []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            build(columns, linenos)  # a bad line before this one is named first
+            raise DataError(
+                f"{path}:{lineno}: expected {n_fields} tab-separated fields, got {len(fields)}"
+            )
+        for column, field in zip(columns, fields):
+            column.append(field)
+        linenos.append(lineno)
+    return build(columns, linenos)
 
 
 # ── catalog ──────────────────────────────────────────────────────────
@@ -146,10 +142,10 @@ def _read_columns(path: Path, n_fields: int) -> list[list[str]] | None:
 def load_catalog(path: str | Path) -> ClassCatalog:
     """Read a catalog file: one `name<TAB>modality` line per class, in canonical order."""
     path = Path(path)
-    columns = list(zip(*(fields for _, fields in _read_table(path, 2))))
-    if not columns:
+    names, modalities = _read_table(path, 2, lambda columns, linenos: columns)
+    if not names:
         raise DataError(f"{path}: catalog lists no classes")
-    return ClassCatalog(names=list(columns[0]), modalities=list(columns[1]))
+    return ClassCatalog(names=names, modalities=modalities)
 
 
 # ── manifest ─────────────────────────────────────────────────────────
@@ -160,42 +156,31 @@ def load_manifest(path: str | Path, catalog: ClassCatalog) -> DatasetManifest:
     path = Path(path)
     position = {name: c for c, name in enumerate(catalog.names)}
     code = {split: s for s, split in enumerate(SPLITS)}
-    columns = _read_columns(path, 3)
-    if columns is not None and len(set(columns[0])) == len(columns[0]):
+
+    def build(columns: list[list[str]], linenos: Sequence[int]) -> DatasetManifest:
         item_ids, class_names, splits = columns
-        try:
-            return DatasetManifest(
-                item_ids=item_ids,
-                labels=np.fromiter(map(position.__getitem__, class_names), np.intp, len(item_ids)),
-                splits=np.fromiter(map(code.__getitem__, splits), np.int8, len(item_ids)),
-            )
-        except KeyError:
-            pass
-    return _manifest_by_lines(path, position, code)
+        n = len(item_ids)
+        if len(set(item_ids)) == n:
+            try:
+                return DatasetManifest(
+                    item_ids=item_ids,
+                    labels=np.fromiter(map(position.__getitem__, class_names), np.intp, n),
+                    splits=np.fromiter(map(code.__getitem__, splits), np.int8, n),
+                )
+            except KeyError:
+                pass
+        seen: set[str] = set()
+        for lineno, item_id, class_name, split in zip(linenos, *columns):
+            if item_id in seen:
+                raise DataError(f"{path}:{lineno}: duplicate item id {item_id!r}")
+            seen.add(item_id)
+            if class_name not in position:
+                raise DataError(f"{path}:{lineno}: unknown class {class_name!r}")
+            if split not in code:
+                raise DataError(f"{path}:{lineno}: malformed split value {split!r}")
+        raise AssertionError("unreachable: a failed column check has a bad row")
 
-
-def _manifest_by_lines(path: Path, position: dict[str, int], code: dict[str, int]):
-    """``load_manifest`` line by line: raises the error of the first bad line."""
-    item_ids: list[str] = []
-    labels: list[int] = []
-    splits: list[int] = []
-    seen: set[str] = set()
-    for lineno, (item_id, class_name, split) in _read_table(path, 3):
-        if item_id in seen:
-            raise DataError(f"{path}:{lineno}: duplicate item id {item_id!r}")
-        seen.add(item_id)
-        if class_name not in position:
-            raise DataError(f"{path}:{lineno}: unknown class {class_name!r}")
-        if split not in code:
-            raise DataError(f"{path}:{lineno}: malformed split value {split!r}")
-        item_ids.append(item_id)
-        labels.append(position[class_name])
-        splits.append(code[split])
-    return DatasetManifest(
-        item_ids=item_ids,
-        labels=np.array(labels, dtype=np.intp),
-        splits=np.array(splits, dtype=np.int8),
-    )
+    return _read_table(path, 3, build)
 
 
 # ── prompt bank JSON ─────────────────────────────────────────────────
@@ -275,25 +260,24 @@ def write_binary(
     the payload as row-major little-endian float32, then ``trailer``, through
     ``write_atomic``.
 
-    The payload ``values`` is a 2-D array, or, given its ``shape``, a function
-    that fills it through a ``RowWriter``, so that it is never held whole.
-    Output bytes are a pure function of the payload.
+    The payload ``values`` is a 2-D array, written as one block, or, given its
+    ``shape``, a function that fills it block by block; either way a
+    ``RowWriter`` checks it finite. Output bytes are a pure function of the payload.
     """
-    streamed = shape is not None
-    if not streamed:
-        values = np.ascontiguousarray(values, dtype="<f4")
-        shape = values.shape
+    if shape is None:
+        block, shape = values, np.shape(values)
+
+        def values(writer: RowWriter) -> None:
+            writer[0 : shape[0]] = block
+
     head = magic + struct.pack(f"<{len(fields) + 2}I", *fields, *shape)
 
     def write(fh: BinaryIO) -> None:
         fh.write(head)
-        if streamed:
-            writer = RowWriter(fh, shape, path)
-            values(writer)
-            if writer.written != shape[0]:
-                raise ValueError(f"{writer.written} of the {shape[0]} payload rows were written")
-        else:
-            values.tofile(fh)
+        writer = RowWriter(fh, shape, path)
+        values(writer)
+        if writer.written != shape[0]:
+            raise ValueError(f"{writer.written} of the {shape[0]} payload rows were written")
         fh.write(trailer)
 
     write_atomic(path, write)
@@ -385,35 +369,32 @@ def load_cache_index(path: str | Path) -> dict[str, int]:
     the signs, spaces, underscores and non-ASCII digits that ``int`` also
     takes are rejected."""
     path = Path(path)
-    columns = _read_columns(path, 2)
-    if columns is not None:
+
+    def build(columns: list[list[str]], linenos: Sequence[int]) -> dict[str, int]:
         item_ids, rows = columns
         digits = "".join(rows)
-        if not rows or (digits.isascii() and digits.isdigit()):
+        if digits.isascii() and digits.isdigit():
             try:
                 index = dict(zip(item_ids, map(int, rows)))
-            except ValueError:  # more digits than int() takes: left to the line parser
-                index = None
-            if index is not None and len(index) == len(item_ids):
+            except ValueError:  # a blank row, or more digits than int() takes
+                index = {}
+            if len(index) == len(item_ids):
                 return index
-    return _index_by_lines(path)
+        index = {}
+        for lineno, item_id, row in zip(linenos, item_ids, rows):
+            if item_id in index:
+                raise DataError(f"{path}:{lineno}: duplicate item id {item_id!r}")
+            if not (row.isascii() and row.isdigit()):
+                raise DataError(
+                    f"{path}:{lineno}: row index {row!r} is not a non-negative decimal integer"
+                )
+            try:
+                index[item_id] = int(row)
+            except ValueError:  # more digits than int() takes
+                raise DataError(f"{path}:{lineno}: row index too long: {len(row)} digits") from None
+        return index
 
-
-def _index_by_lines(path: Path) -> dict[str, int]:
-    """``load_cache_index`` line by line: raises the error of the first bad line."""
-    index: dict[str, int] = {}
-    for lineno, (item_id, row) in _read_table(path, 2):
-        if item_id in index:
-            raise DataError(f"{path}:{lineno}: duplicate item id {item_id!r}")
-        if not (row.isascii() and row.isdigit()):
-            raise DataError(
-                f"{path}:{lineno}: row index {row!r} is not a non-negative decimal integer"
-            )
-        try:
-            index[item_id] = int(row)
-        except ValueError:  # more digits than int() takes
-            raise DataError(f"{path}:{lineno}: row index too long: {len(row)} digits") from None
-    return index
+    return _read_table(path, 2, build)
 
 
 def write_cache_index(index: dict[str, int], path: str | Path) -> None:

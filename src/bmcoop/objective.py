@@ -18,11 +18,11 @@ A training run derives each shared quantity once:
                  scores the teacher log-softmax of the whole support once
                  (``teacher_log_probs``), and a step indexes its batch rows
                  out of both
-  once per step  one class-text encode, whose unit rows are scored as
-                 they are (no second normalization), one (B, C) cosine
-                 block, one student log-softmax and its exponential, held
-                 in a ``StudentScores`` that every loss and gradient term
-                 reads; the gradient terms are chained and summed in place
+  once per step  one class-text encode, whose unit rows ``student_scores``
+                 takes as they are (no second normalization), one (B, C)
+                 cosine block, one student log-softmax and its exponential,
+                 held in a ``StudentScores`` that every loss and gradient
+                 term reads; the gradient terms are chained and summed in place
 
 Gradients with respect to the context are exact and hand-written: each
 loss is differentiated to dLoss/dTextEmbedding and chained through the
@@ -55,12 +55,13 @@ class LossBreakdown:
         return cls(ce=ce, sccm=sccm, kdsp=kdsp, total=ce + lambda1 * sccm + lambda2 * kdsp)
 
 
-def _unit_rows(matrix: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-row float64 copy of ``matrix`` and the row norms."""
+def _unit_rows(matrix: np.ndarray, what: str) -> np.ndarray:
+    """Unit-row float64 copy of ``matrix``."""
     matrix = np.asarray(matrix, dtype=np.float64)
     # written only by the division, so the copy is not resident while the norms are taken
     unit = np.empty_like(matrix)
-    return unit, normalize_rows(matrix, what, out=unit)
+    normalize_rows(matrix, what, out=unit)
+    return unit
 
 
 def _check_tau(tau: float) -> None:
@@ -82,7 +83,7 @@ def cosine_logits(images: np.ndarray, text: np.ndarray, tau: float, names: list 
     in float64 (``types.row_blocks``), so the selection is never copied whole. A
     zero image row is named by ``names`` (indexed like the result), else by index."""
     _check_tau(tau)
-    t_unit, _ = _unit_rows(text, "class embeddings")
+    t_unit = _unit_rows(text, "class embeddings")
     images = np.asarray(images)
     _check_width(images, t_unit.shape[1])
     n = images.shape[0] if positions is None else len(positions)
@@ -141,12 +142,12 @@ def prepare_support(
     and the unit teacher rows (None without a teacher).
     """
     _check_tau(tau)
-    v_unit, _ = _unit_rows(images, "images")
+    v_unit = _unit_rows(images, "images")
     _check_width(v_unit, width)
     labels = _check_labels(labels, v_unit.shape[0], n_classes)
     teacher_unit = None
     if teacher_ensemble is not None:
-        teacher_unit, _ = _unit_rows(teacher_ensemble, "teacher ensemble")
+        teacher_unit = _unit_rows(teacher_ensemble, "teacher ensemble")
         if teacher_unit.shape != (n_classes, width):
             raise DataError(
                 f"teacher ensemble has shape {teacher_unit.shape}, "
@@ -165,10 +166,8 @@ def teacher_log_probs(v_unit: np.ndarray, teacher_unit: np.ndarray, tau: float) 
 class StudentScores:
     """One step's student side, computed once and read by every term."""
 
-    text: np.ndarray       # (C, D) class embeddings as encoded
+    text: np.ndarray       # (C, D) unit class embeddings
     v_unit: np.ndarray     # (B, D) unit image rows
-    t_unit: np.ndarray     # (C, D) unit class embeddings
-    t_norms: np.ndarray    # (C,) norms of the ``text`` rows
     cos: np.ndarray        # (B, C) cosine similarities
     log_probs: np.ndarray  # (B, C) student log-softmax of cos / tau
     probs: np.ndarray      # (B, C) exp(log_probs), read-only
@@ -176,17 +175,13 @@ class StudentScores:
 
 
 def student_scores(v_unit: np.ndarray, text: np.ndarray, tau: float) -> StudentScores:
-    """Score unit image rows against the class embeddings ``text``, normalized here."""
-    t_unit, t_norms = _unit_rows(text, "class embeddings")
-    return _scores(v_unit, text, t_unit, t_norms, tau)
-
-
-def _scores(v_unit, text, t_unit, t_norms, tau) -> StudentScores:
-    cos = v_unit @ t_unit.T
+    """Score unit image rows against unit class rows ``text``, as the
+    class-text encoder returns them; neither is normalized again."""
+    cos = v_unit @ text.T
     log_probs = _log_softmax(cos / tau)
     probs = np.exp(log_probs)
     probs.setflags(write=False)
-    return StudentScores(text, v_unit, t_unit, t_norms, cos, log_probs, probs, tau)
+    return StudentScores(text, v_unit, cos, log_probs, probs, tau)
 
 
 @functools.cache
@@ -252,7 +247,7 @@ def total_loss(
 # For logits z_ij = (v_i . u_j) / tau with u_j = T_j / ||T_j|| and unit
 # image rows v_i, the chain rule through the row normalization gives
 #
-#   dL/dT_j = sum_i G_ij (v_i - cos_ij u_j) / (||T_j|| tau)
+#   dL/dT_j = sum_i G_ij (v_i - cos_ij u_j) / (||T_j|| tau),  ||T_j|| = 1 for unit rows
 #
 # where G = dL/dz. CE and KL share this path with their classic softmax
 # gradients G = (P - onehot)/B and G = (P_student - P_teacher)/B.
@@ -260,8 +255,8 @@ def total_loss(
 def _chain_logits_to_text(grad_logits: np.ndarray, scores: StudentScores) -> np.ndarray:
     accum = grad_logits.T @ scores.v_unit  # (C, D)
     diag = np.add.reduce(grad_logits * scores.cos, axis=0)  # (C,)
-    accum -= diag[:, None] * scores.t_unit
-    accum /= scores.t_norms[:, None] * scores.tau
+    accum -= diag[:, None] * scores.text
+    accum /= scores.tau
     return accum
 
 
@@ -306,8 +301,7 @@ def loss_gradient(
     objective.
     """
     text, tape = encode_text_with_context(handle, s, length, class_names)
-    # the encoder's rows are unit already, so they are scored as they are
-    scores = _scores(v_unit, text, text, np.ones(len(text)), handle.tau)
+    scores = student_scores(v_unit, text, handle.tau)
     breakdown = total_loss(scores, labels, ensemble_mean, log_teacher, lambda1, lambda2)
     grad_text = ce_grad_wrt_text(scores, labels)
     if lambda1 != 0.0:

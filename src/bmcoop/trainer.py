@@ -353,8 +353,8 @@ def load_checkpoint(path: str | Path) -> TrainState:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     if len(ctx32) == 0:
         raise DataError(f"{path}: checkpoint context has 0 rows")
+    check_finite(ctx32, f"{path}: checkpoint context")  # the cast warns on a signalling NaN
     ctx = ctx32.astype(np.float64)
-    check_finite(ctx, f"{path}: checkpoint context")
     if len(trailer) < _TRAILER_HEAD.size:
         raise DataError(f"{path}: truncated checkpoint trailer")
     epoch, dim, encoder = _TRAILER_HEAD.unpack_from(trailer)

@@ -37,6 +37,7 @@ from bmcoop.objective import (
     total_loss,
 )
 from bmcoop.trainer import prepare_ensembles, train_run
+from bmcoop.types import normalize_rows
 from conftest import (
     build_desk_task,
     build_planted_outlier,
@@ -169,6 +170,9 @@ def test_criterion_3_oracle_equivalence():
         v = unit_rows(rng, b, d)
         t = rng.standard_normal((c, d))  # non-unit rows on purpose
         tau = float(rng.uniform(0.01, 0.5))
+        # the student takes unit rows, normalized as the class-text encoder does
+        t_unit = t.copy()
+        normalize_rows(t_unit, "class embeddings")
 
         probs = class_probabilities(v, t, tau)
         tn = t / np.linalg.norm(t, axis=1, keepdims=True)
@@ -179,7 +183,7 @@ def test_criterion_3_oracle_equivalence():
 
         labels = rng.integers(0, c, size=b)
         oracle_ce = -sum(math.log(oracle_probs[i, labels[i]]) for i in range(b)) / b
-        ce = total_loss(student_scores(v, t, tau), labels, None, None, 0.0, 0.0).ce
+        ce = total_loss(student_scores(v, t_unit, tau), labels, None, None, 0.0, 0.0).ce
         worst["ce"] = max(worst["ce"], abs(ce - oracle_ce))
 
         pg = rng.standard_normal((c, d))
@@ -199,7 +203,7 @@ def test_criterion_3_oracle_equivalence():
             / b
         )
         kdsp = total_loss(
-            student_scores(v, t, tau), labels, None, teacher_log_probs(v, ps, tau), 0.0, 1.0
+            student_scores(v, t_unit, tau), labels, None, teacher_log_probs(v, ps, tau), 0.0, 1.0
         ).kdsp
         worst["kdsp"] = max(worst["kdsp"], abs(kdsp - oracle_kl))
 

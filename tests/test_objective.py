@@ -29,7 +29,7 @@ from bmcoop.objective import (
     teacher_log_probs,
     total_loss,
 )
-from bmcoop.types import BLOCK_ROWS
+from bmcoop.types import BLOCK_ROWS, normalize_rows
 from conftest import (
     encode_context,
     oracle_log_teacher,
@@ -41,8 +41,11 @@ from conftest import (
 
 def kdsp_loss(v, student, teacher, tau):
     """KDSP of unit image rows ``v`` as training computes it: ``total_loss``
-    with only the KDSP weight set (the teacher rows are unit rows)."""
+    with only the KDSP weight set (the teacher rows are unit rows, and the
+    student rows are normalized as the class-text encoder normalizes them)."""
     labels = np.zeros(len(v), dtype=np.intp)
+    student = np.array(student, dtype=np.float64)
+    normalize_rows(student, "class embeddings")
     scores = student_scores(v, student, tau)
     return total_loss(scores, labels, None, teacher_log_probs(v, teacher, tau), 0.0, 1.0).kdsp
 

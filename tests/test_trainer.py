@@ -504,9 +504,21 @@ class TestCheckpoints:
 
     def test_non_finite_context_rejected(self, tmp_path):
         path = tmp_path / "nan.ckpt"
-        ctx = np.zeros((2, 3))
-        ctx[1, 2] = np.nan
-        save_checkpoint(stored_state(ctx), path)
+        save_checkpoint(stored_state(np.zeros((2, 3))), path)
+        # the writer refuses a NaN payload, so ctx[1, 2] goes in after the 20-byte header by hand
+        data = bytearray(path.read_bytes())
+        data[20 + 5 * 4 : 20 + 6 * 4] = np.array(np.nan, "<f4").tobytes()
+        path.write_bytes(data)
+        with pytest.raises(DataError, match="checkpoint context contains non-finite values"):
+            load_checkpoint(path)
+
+    def test_signalling_nan_context_rejected_without_a_warning(self, tmp_path):
+        # float32 0x7f810000 is a signalling NaN: casting it to float64 warns
+        path = tmp_path / "snan.ckpt"
+        save_checkpoint(stored_state(np.zeros((2, 3))), path)
+        data = bytearray(path.read_bytes())
+        data[20:24] = (0x7F810000).to_bytes(4, "little")
+        path.write_bytes(data)
         with pytest.raises(DataError, match="checkpoint context contains non-finite values"):
             load_checkpoint(path)
 

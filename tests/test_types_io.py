@@ -38,6 +38,7 @@ from bmcoop.types import (
     MAX_GEOMETRY,
     SPLITS,
     ClassCatalog,
+    DatasetManifest,
     EmbeddingMatrix,
     PromptBank,
     RunConfig,
@@ -545,6 +546,16 @@ BINARY_FORMATS = {
 
 
 class TestBinaryLayout:
+    def test_non_finite_array_payload_is_not_written(self, tmp_path):
+        # an array is one block through the RowWriter, which checks it finite
+        values = np.zeros((2, 3))
+        values[1, 2] = np.nan
+        for name, write in (("m.emb", lambda p: write_embedding_cache(values, p)),
+                            ("c.ckpt", lambda p: _write_checkpoint(p, values))):
+            with pytest.raises(DataError, match=f"{name}: payload contains non-finite values"):
+                write(tmp_path / name)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("fault", [
         "bad magic", "truncated header", "truncated payload", "width 0", "bytes after the payload",
     ])
@@ -670,22 +681,84 @@ class TestLoadersOnArbitraryBytes:
             load_catalog(path)
 
 
+def lines_of(path, n_fields):
+    """(line number, fields) of each non-blank line of a tab-separated file,
+    split line by line: the reference parser the loaders are compared with."""
+    text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise DataError(
+                f"{path}:{lineno}: expected {n_fields} tab-separated fields, got {len(fields)}"
+            )
+        yield lineno, fields
+
+
+def catalog_by_lines(path):
+    rows = [fields for _, fields in lines_of(path, 2)]
+    if not rows:
+        raise DataError(f"{path}: catalog lists no classes")
+    return ClassCatalog(names=[name for name, _ in rows], modalities=[m for _, m in rows])
+
+
+def manifest_by_lines(path):
+    position = {name: c for c, name in enumerate(CATALOG.names)}
+    code = {split: s for s, split in enumerate(SPLITS)}
+    item_ids, labels, splits = [], [], []
+    for lineno, (item_id, class_name, split) in lines_of(path, 3):
+        if item_id in item_ids:
+            raise DataError(f"{path}:{lineno}: duplicate item id {item_id!r}")
+        if class_name not in position:
+            raise DataError(f"{path}:{lineno}: unknown class {class_name!r}")
+        if split not in code:
+            raise DataError(f"{path}:{lineno}: malformed split value {split!r}")
+        item_ids.append(item_id)
+        labels.append(position[class_name])
+        splits.append(code[split])
+    return DatasetManifest(item_ids, np.array(labels, np.intp), np.array(splits, np.int8))
+
+
+def index_by_lines(path):
+    index = {}
+    for lineno, (item_id, row) in lines_of(path, 2):
+        if item_id in index:
+            raise DataError(f"{path}:{lineno}: duplicate item id {item_id!r}")
+        if not (row.isascii() and row.isdigit()):
+            raise DataError(
+                f"{path}:{lineno}: row index {row!r} is not a non-negative decimal integer"
+            )
+        try:
+            index[item_id] = int(row)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: row index too long: {len(row)} digits") from None
+    return index
+
+
 # Generated tab-separated text for the differential loader property: a
 # well-formed table (unique ids, right values, "\n" or "\r\n" breaks) with
 # up to three faults, each a line break ``str.splitlines`` also honours, a
 # blank or whitespace-only line, a line one field short or long, a wrong
-# value or a repeated line.
+# value or a repeated line. Every modality is a right one for a catalog; its
+# "wrong" values are those that put it off the one-split path.
 IDS = ["a", "b", "c", "img1", " a", "\u00e9"]
 TABLES = {
+    "catalog": (
+        load_catalog,
+        catalog_by_lines,
+        [["MRI", "CT", "x ray"]],
+        [[" ", "", "MRI "]],
+    ),
     "manifest": (
         lambda p: load_manifest(p, CATALOG),
-        lambda p: io._manifest_by_lines(p, {"benign": 0, "malignant": 1}, {s: i for i, s in enumerate(SPLITS)}),
+        manifest_by_lines,
         [["benign", "malignant"], list(SPLITS)],
         [["cyst", " benign", ""], ["holdout", "Test", " test", "test ", ""]],
     ),
     "cache index": (
         load_cache_index,
-        io._index_by_lines,
+        index_by_lines,
         [["0", "1", "2", "10", "007"]],
         [["+3", "1_0", "\u0663", " 7", "7 ", "-1", ""]],
     ),
@@ -740,12 +813,24 @@ class TestColumnarLoaders:
         path = tmp_path / "index.tsv"
         for text in (b"\xef\xbb\xbfa\t0\r\nb\t7\nc\t007\n", b"a\t0\r\nb\t7\nc\t007"):
             path.write_bytes(text)
-            assert io._read_columns(path, 2) == [["a", "b", "c"], ["0", "7", "007"]]
             assert load_cache_index(path) == {"a": 0, "b": 7, "c": 7}
         # blank lines are left to the line parser
         path.write_bytes(b"a\t0\n\nb\t7\n\n")
-        assert io._read_columns(path, 2) is None
         assert load_cache_index(path) == {"a": 0, "b": 7}
+
+    def test_each_load_reads_its_file_once(self, tmp_path, monkeypatch):
+        reads = []
+        read_text = io.read_text
+        monkeypatch.setattr(
+            io, "read_text", lambda path, *args: reads.append(path) or read_text(path, *args)
+        )
+        manifest, index = tmp_path / "m.tsv", tmp_path / "index.tsv"
+        manifest.write_text("a\tbenign\ttrain\nb\tcyst\ttest\n")
+        with pytest.raises(DataError, match=":2: unknown class 'cyst'"):
+            load_manifest(manifest, CATALOG)
+        index.write_text("a\t0\n\nb\t7\n")
+        assert load_cache_index(index) == {"a": 0, "b": 7}
+        assert reads == [manifest, index]
 
     @pytest.mark.parametrize("text, expected", [
         # two fields too many on line 1 and too few on line 2: the right total
@@ -772,8 +857,7 @@ class TestColumnarLoaders:
     @given(case=table_texts())
     def test_loaders_equal_the_line_parser(self, case, tmp_path_factory):
         kind, text = case
-        load, by_lines, right, _ = TABLES[kind]
-        n = len(right) + 1
+        load, by_lines, _, _ = TABLES[kind]
         path = tmp_path_factory.mktemp("table") / "input.tsv"
         path.write_bytes(text.encode("utf-8"))
         got, want = _outcome(load, path), _outcome(by_lines, path)
@@ -784,10 +868,7 @@ class TestColumnarLoaders:
             for field in ("labels", "splits"):
                 a, b = getattr(got, field), getattr(want, field)
                 assert a.dtype == b.dtype and np.array_equal(a, b)
+        elif kind == "catalog":
+            assert (got.names, got.modalities) == (want.names, want.modalities)
         else:
             assert got == want and list(got.items()) == list(want.items())
-        # when the columnar split takes a file, it has the line parser's fields
-        split = io._read_columns(path, n)
-        if split is not None:
-            rows = [fields for _, fields in io._read_table(path, n)]
-            assert split == [list(column) for column in zip(*rows)]
