@@ -37,7 +37,7 @@ from .backbone import (
 )
 from .ensemble import mean_ensemble, write_score_report
 from .errors import BmcoopError, ConfigError, DataError, NumericError
-from .objective import cosine_logits, predict
+from .objective import cosine_predictions
 from .types import SPLITS, ClassCatalog, RunConfig
 
 # ``BMCOOP_LOG`` as ``main`` read it, applied at the first message (``_logger``)
@@ -222,27 +222,29 @@ def _bank_embeddings(cfg: LoadedConfig, catalog: ClassCatalog) -> np.ndarray:
     return cache.values.astype(np.float64).reshape(n_classes, -1, cache.dim)
 
 
-def _eval_logits(cfg: LoadedConfig, manifest, source, class_embeds: np.ndarray, tau: float):
-    """Cosine logits of the eval split, in manifest order, against
-    ``class_embeds``, and the split's catalog positions. The split's float32
+def _eval_predictions(cfg: LoadedConfig, manifest, source, class_embeds: np.ndarray,
+                      tau: float, ranges: list[tuple[int, int]]):
+    """Predicted class positions of the eval split, in manifest order, among
+    the ``class_embeds`` rows of each ``(first, stop)`` of ``ranges`` (relative
+    to ``first``), and the split's catalog positions. The split's float32
     cache rows are scored where they are stored, by row position."""
     split = np.flatnonzero(manifest.in_split(cfg.values["eval_split"]))
     # gathered in one step, to name a missing id or a zero row
     item_ids = np.array(manifest.item_ids, dtype=object)[split]
     rows = source.positions(item_ids)
-    logits = cosine_logits(source.matrix.values, class_embeds, tau, item_ids, rows)
-    return logits, manifest.labels[split]
+    predictions = cosine_predictions(source.matrix.values, class_embeds, tau, ranges,
+                                     item_ids, rows)
+    return predictions, manifest.labels[split]
 
 
-def _accuracy(logits: np.ndarray, labels: np.ndarray, first: int, stop: int) -> float:
+def _accuracy(predictions: np.ndarray, labels: np.ndarray, first: int, stop: int) -> float:
     """Accuracy on the images of the catalog classes ``first .. stop - 1``, each
-    classified among those classes only. ``logits`` scores every eval image
-    against every catalog class; a row's cosine logits do not depend on the
-    other rows or columns, so a subset is a slice of it."""
+    classified among those classes only: ``predictions`` are every eval
+    image's predictions among those classes, relative to ``first``."""
     rows = (labels >= first) & (labels < stop)
     if not rows.any():
         raise DataError("no items in the eval split for the requested classes")
-    return evaluation.accuracy(predict(logits[rows, first:stop]), labels[rows] - first)
+    return evaluation.accuracy(predictions[rows], labels[rows] - first)
 
 
 # ── commands: each returns the primary artifacts it wrote ─────────────
@@ -395,8 +397,10 @@ def cmd_eval(cfg: LoadedConfig) -> list[Path]:
         # the stored context, projected once
         s = project_context(handle, state.ctx)
         class_embeds, _ = encode_text_with_context(handle, s, len(state.ctx), catalog.names)
-    logits, labels = _eval_logits(cfg, manifest, source, class_embeds, handle.tau)
-    acc = _accuracy(logits, labels, 0, len(catalog))
+    full = (0, len(catalog))
+    (predictions,), labels = _eval_predictions(cfg, manifest, source, class_embeds,
+                                               handle.tau, [full])
+    acc = _accuracy(predictions, labels, *full)
 
     out = cfg.out_dir() / "eval_report.json"
     table = evaluation.write_run_report(
@@ -417,13 +421,15 @@ def cmd_base_to_novel(cfg: LoadedConfig) -> list[Path]:
     epochs = cfg.run.epochs if "epochs" in cfg.explicit else 50
     state, logs = _train_common(cfg, catalog, manifest, source, handle, slice(cut), epochs)
 
-    # each class row is encoded on its own, so the base and novel classes are
-    # column slices of one scoring of the full catalog
+    # each class row is encoded on its own, and a row's cosine logits do not
+    # depend on the other rows or columns, so the base and novel classes are
+    # column ranges of one scoring of the full catalog
     embeds, _ = encode_text_with_context(handle, state.s, len(state.ctx), catalog.names)
-    logits, labels = _eval_logits(cfg, manifest, source, embeds, handle.tau)
-    base_acc = _accuracy(logits, labels, 0, cut)
-    novel_acc = _accuracy(logits, labels, cut, len(catalog))
-    overall = _accuracy(logits, labels, 0, len(catalog))
+    ranges = [(0, cut), (cut, len(catalog)), (0, len(catalog))]
+    predictions, labels = _eval_predictions(cfg, manifest, source, embeds, handle.tau, ranges)
+    base_acc, novel_acc, overall = (
+        _accuracy(pred, labels, first, stop) for pred, (first, stop) in zip(predictions, ranges)
+    )
 
     ckpt, log_path = _save_training(cfg, state, logs)
     report_path = ckpt.parent / "base_to_novel_report.json"

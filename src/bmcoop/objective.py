@@ -29,18 +29,62 @@ loss is differentiated to dLoss/dTextEmbedding and chained through the
 encoder's one tape over all classes to dLoss/ds, ``s`` the projected
 context sum that training updates. The teacher ensemble and all bank
 embeddings contribute zero gradient.
+
+Evaluation needs only each row's argmax, which ``cosine_predictions`` takes
+mostly from a float32 screen: per block of rows, one float32 product
+s_j = fl32(v32·t32_j) of the unnormalized row against the float32 unit class
+rows, and the row's float32 sum of squares q. Nothing is divided. The screen
+keeps a row's argmax in a range of classes only where its top-two gap there
+exceeds 2E, E a bound on how far any s_j lies from the order that the
+float64 logits z_j of ``cosine_logits`` give. With u = 2⁻²⁴, K the width,
+γ_K = K·u/(1−K·u), v the input row (norm N), v32 its float32 copy (norm n)
+and û_j the float64 unit class row, c_j = v·û_j is the exact dot, and
+
+  |s_j − v32·t32_j| ≤ γ_K·n·‖t32_j‖ + K·2⁻¹⁴⁹   the float32 dot, in any
+                                                 summation order, with or
+                                                 without FMA; the absolute
+                                                 term is for subnormal products
+  |v·(t32_j − û_j)| ≤ u·N                       rounding û_j to float32
+  |(v32 − v)·t32_j| ≤ u·N·‖t32_j‖               rounding a row that is not
+                                                 float32 (zero for float32)
+  |z_j·τ·r − c_j|   ≤ γ'_{K+2}·N·‖û_j‖ + τ·r·2⁻¹⁰⁷⁵   the float64 path, r its
+                                                 row norm and γ' the float64
+                                                 γ; the last term is a
+                                                 subnormal quotient
+
+Since ‖t32_j‖ ≤ 1 + 2u, the float32 norm gives n, N ≤ B = √q·(1 + 2γ_K + 2u)
+(its error ≤ γ_K·n² + K·2⁻¹⁴⁹), and r ≤ B. A row is screened only when
+2⁻¹⁰⁰ ≤ q < ∞, so B ≥ 2⁻⁵⁰: for K < 2²⁰ the absolute terms together, and
+the float64 path's γ'_{K+2}·N·‖û_j‖, are each below u·B. So
+
+  E = B·(γ_K·(1 + 2u) + 3u + [u if not float32] + τ·2⁻¹⁰⁷⁴),
+
+the 3u for rounding û_j, the absolute terms and the float64 path.
+If s_a − s_j > 2E then c_a − c_j > 2·(the float64 error), so z_a > z_j:
+the screened argmax is the float64 argmax, with no tie for the lowest index
+to break. A factor 1 + 4u covers the rounding of the gap and of E.
+
+Every other row (a zero, non-finite or underflowing q, a NaN gap, a gap of
+at most 2E) is scored by one ``cosine_logits`` call. A float64 GEMM's bits
+may depend on how many rows it multiplies, so where that call's top-two gap
+is within 16·(K+3)·2⁻⁵³/τ + 2⁻¹⁰⁷⁰ (four times the float64 error, for two
+differently rounded results, with room to spare), the row is scored again
+with the ``BLOCK_ROWS`` slice of the selection that ``cosine_logits`` over
+the whole selection would give it: the same GEMM shape, so the same bits,
+and exact ties go to the lowest index as ``predict`` sends them.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .backbone import SyntheticTextEncoder, encode_text_with_context
 from .errors import DataError
-from .types import normalize_rows, row_blocks
+from .types import BLOCK_ROWS, normalize_rows, row_blocks
 
 
 @dataclass
@@ -94,6 +138,89 @@ def cosine_logits(images: np.ndarray, text: np.ndarray, tau: float, names: list 
         np.matmul(block, t_unit.T, out=logits[span])
     logits /= tau
     return logits
+
+
+_U32 = 2.0**-24
+# below this float32 sum of squares a row is not screened (see the module docstring)
+_SQUARES_FLOOR = 2.0**-100
+
+
+def _screen_threshold(width: int, tau: float, rounded: bool) -> float:
+    """2E/√q with its 1 + 4u margin: a screened top-two gap above this times
+    √q fixes the row's float64 argmax (module docstring). Infinite, so that
+    nothing is trusted, outside the bound's range of width and tau."""
+    if width >= 2**20 or not tau >= 2.0**-1000:
+        return math.inf
+    gamma = width * _U32 / (1 - width * _U32)
+    rel = gamma * (1 + 2 * _U32) + 3 * _U32 + (_U32 if rounded else 0.0) + tau * 2.0**-1074
+    return 2 * rel * (1 + 2 * gamma + 2 * _U32) * (1 + 4 * _U32)
+
+
+def _top_gap(scores: np.ndarray) -> np.ndarray:
+    """Per row, the largest score less the second largest (NaN-propagating)."""
+    top = np.partition(scores, -2, axis=1)
+    return top[:, -1] - top[:, -2]
+
+
+def cosine_predictions(images: np.ndarray, text: np.ndarray, tau: float, ranges,
+                       names: list | None = None,
+                       positions: np.ndarray | None = None) -> list[np.ndarray]:
+    """For each ``(first, stop)`` of ``ranges``, exactly
+    ``predict(cosine_logits(images, text, tau, names, positions)[:, first:stop])``,
+    ties to the lowest index included (an empty selection gives empty arrays),
+    with the same errors. Most rows are decided by a float32 screen without
+    normalizing; only the rest get float64 logits (see the module docstring)."""
+    _check_tau(tau)
+    t_unit = _unit_rows(text, "class embeddings")
+    images = np.asarray(images)
+    _check_width(images, t_unit.shape[1])
+    n = images.shape[0] if positions is None else len(positions)
+    t32 = t_unit.astype(np.float32)
+    threshold = _screen_threshold(t_unit.shape[1], tau, images.dtype != np.float32)
+    predictions = [np.empty(n, dtype=np.intp) for _ in ranges]
+    trusted = [np.empty(n, dtype=bool) for _ in ranges]
+    # a float32 overflow only sends its row to the float64 path
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, BLOCK_ROWS):
+            span = slice(start, min(start + BLOCK_ROWS, n))
+            # a view of float32 rows without positions; else one gathered copy
+            block = images[span if positions is None else positions[span]]
+            block = block.astype(np.float32, copy=False)
+            scores = block @ t32.T
+            squares = np.einsum("ij,ij->i", block, block)
+            # NaN, infinite and underflowing sums of squares are never screened
+            limit = np.where((squares >= _SQUARES_FLOOR) & (squares < np.inf),
+                             threshold * np.sqrt(squares, dtype=np.float64), np.inf)
+            for (first, stop), pred, ok in zip(ranges, predictions, trusted):
+                part = scores[:, first:stop]
+                pred[span] = np.argmax(part, axis=1)
+                gap = _top_gap(part) if stop - first > 1 else np.inf
+                ok[span] = gap > limit
+    rows = np.flatnonzero(~np.logical_and.reduce(trusted))  # in selection order
+    if not rows.size:
+        return predictions
+
+    def selected(at: np.ndarray):  # names and positions of the selection rows ``at``
+        return (at.tolist() if names is None else [names[i] for i in at],
+                at if positions is None else positions[at])
+
+    logits = cosine_logits(images, text, tau, *selected(rows))
+    # float64 near-ties: scored again with their own block of the selection
+    tie = 16 * (t_unit.shape[1] + 3) * 2.0**-53 / tau + 2.0**-1070
+    redo = [~ok[rows] for ok in trusted]
+    near = np.zeros(len(rows), dtype=bool)
+    for (first, stop), mask in zip(ranges, redo):
+        if stop - first > 1:
+            near |= mask & ~(_top_gap(logits[:, first:stop]) > tie)
+    # a set, not np.unique, whose first call imports numpy.ma
+    for start in sorted({row // BLOCK_ROWS * BLOCK_ROWS for row in rows[near].tolist()}):
+        end = min(start + BLOCK_ROWS, n)
+        exact = cosine_logits(images, text, tau, *selected(np.arange(start, end)))
+        here = near & (rows >= start) & (rows < end)
+        logits[here] = exact[rows[here] - start]
+    for (first, stop), pred, mask in zip(ranges, predictions, redo):
+        pred[rows[mask]] = np.argmax(logits[mask, first:stop], axis=1)
+    return predictions
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -204,39 +204,43 @@ def train_run(
         _check_resume(state, ctx0, lr * (handle.projection.T @ state.h_sum))
     logs: list[EpochLog] = []
 
-    for epoch in range(state.epoch, config.epochs):
-        gram = handle.gram()  # built at the first step, so an empty run never builds it
-        order = state.rng.permutation(n)
-        ce = sccm = kdsp = 0.0  # sample-weighted sums
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            breakdown, h = loss_gradient(
-                handle, state.s, length, class_names,
-                v_unit[batch], labels[batch],
-                ensemble_mean, None if log_teacher is None else log_teacher[batch],
-                config.lambda1, config.lambda2,
+    # every step's h enters H, and the stored context ctx0 - lr·PᵀH is checked
+    # each epoch, so an overflow ends in the NumericError below; numpy's
+    # overflow warnings would only come before it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(state.epoch, config.epochs):
+            gram = handle.gram()  # built at the first step, so an empty run never builds it
+            order = state.rng.permutation(n)
+            ce = sccm = kdsp = 0.0  # sample-weighted sums
+            for start in range(0, n, config.batch_size):
+                batch = order[start : start + config.batch_size]
+                breakdown, h = loss_gradient(
+                    handle, state.s, length, class_names,
+                    v_unit[batch], labels[batch],
+                    ensemble_mean, None if log_teacher is None else log_teacher[batch],
+                    config.lambda1, config.lambda2,
+                )
+                kh = gram @ h
+                if not math.isfinite(breakdown.total):
+                    raise _numeric_abort("loss", epoch, start, breakdown, context(), h, kh)
+                state.s = state.s - lr * length * kh
+                state.h_sum = state.h_sum + h
+                ce += len(batch) * breakdown.ce
+                sccm += len(batch) * breakdown.sccm
+                kdsp += len(batch) * breakdown.kdsp
+            # float64 holds a context that float32 storage overflows, so the check
+            # is on the stored values
+            state.ctx = context()
+            if not np.isfinite(state.ctx).all():
+                raise _numeric_abort("context", epoch, start, breakdown, state.ctx, h, kh)
+            epoch_breakdown = LossBreakdown.compose(
+                ce / n, sccm / n, kdsp / n, config.lambda1, config.lambda2
             )
-            kh = gram @ h
-            if not math.isfinite(breakdown.total):
-                raise _numeric_abort("loss", epoch, start, breakdown, context(), h, kh)
-            state.s = state.s - lr * length * kh
-            state.h_sum = state.h_sum + h
-            ce += len(batch) * breakdown.ce
-            sccm += len(batch) * breakdown.sccm
-            kdsp += len(batch) * breakdown.kdsp
-        # float64 holds a context that float32 storage overflows, so the check
-        # is on the stored values
-        state.ctx = context()
-        if not np.isfinite(state.ctx).all():
-            raise _numeric_abort("context", epoch, start, breakdown, state.ctx, h, kh)
-        epoch_breakdown = LossBreakdown.compose(
-            ce / n, sccm / n, kdsp / n, config.lambda1, config.lambda2
-        )
-        train_acc = _accuracy_with_context(
-            handle, state.s, length, class_names, images, labels
-        )
-        state.epoch = epoch + 1
-        logs.append(EpochLog(epoch=epoch, breakdown=epoch_breakdown, train_acc=train_acc))
+            train_acc = _accuracy_with_context(
+                handle, state.s, length, class_names, images, labels
+            )
+            state.epoch = epoch + 1
+            logs.append(EpochLog(epoch=epoch, breakdown=epoch_breakdown, train_acc=train_acc))
     return state, logs
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from bmcoop import cli
 from bmcoop.backbone import SyntheticTextEncoder, SyntheticVisionEncoder, encode_text_with_context
-from bmcoop.cli import _eval_logits, _load_inputs, parse_config, run
+from bmcoop.cli import _eval_predictions, _load_inputs, parse_config, run
 from bmcoop.ensemble import mean_ensemble
 from bmcoop.errors import ConfigError
 from bmcoop.evaluation import accuracy
@@ -276,21 +276,26 @@ class TestTrainEval:
             predicted = predict(class_probabilities(images, embeds, 0.01))
             assert doc["accuracies"] == [accuracy(predicted, labels)], classifier
 
-    def test_eval_logits_score_the_indexed_cache_rows(self, toy_dataset):
+    def test_eval_predictions_score_the_indexed_cache_rows(self, toy_dataset):
         tmp_path, config, config_path = toy_dataset
         cfg = parse_config(config_path)
         catalog, manifest, source = _load_inputs(cfg)
         embeds = np.random.default_rng(3).standard_normal((len(catalog), DESK_DIM))
-        logits, labels = _eval_logits(cfg, manifest, source, embeds, 0.01)
         records = [line.split("\t") for line in (tmp_path / "manifest.tsv").read_text().splitlines()]
         test = [(item, name) for item, name, split in records if split == "test"]
-        assert labels.dtype == np.intp
-        assert list(labels) == [catalog.names.index(name) for _, name in test]
         # the stored rows of the split's item ids, in manifest order
         cache = read_embedding_cache(tmp_path / "images.emb").values
         index = load_cache_index(tmp_path / "images.idx")
-        rows = cache[[index[item] for item, _ in test]]
-        assert np.array_equal(logits, cosine_logits(rows, embeds, 0.01))
+        logits = cosine_logits(cache[[index[item] for item, _ in test]], embeds, 0.01)
+        c = len(catalog)
+        # eval's range, and base-to-novel's three
+        for ranges in ([(0, c)], [(0, c // 2), (c // 2, c), (0, c)]):
+            predictions, labels = _eval_predictions(cfg, manifest, source, embeds, 0.01, ranges)
+            assert labels.dtype == np.intp
+            assert list(labels) == [catalog.names.index(name) for _, name in test]
+            assert len(predictions) == len(ranges)
+            for got, (first, stop) in zip(predictions, ranges):
+                assert np.array_equal(got, predict(logits[:, first:stop]))
 
     def test_eval_report_is_deterministic(self, toy_dataset):
         tmp_path, config, config_path = toy_dataset
@@ -933,8 +938,8 @@ class TestFaultTable:
         errors = [line for line in err.getvalue().splitlines() if line.startswith("bmcoop-error ")]
         assert code in (0, 2, 3, 4, 5)
         assert len(errors) == (code != 0), err.getvalue()
-        # numpy's overflow warnings are expected only on the way to a numeric failure
-        assert code == 4 or not caught, [str(w.message) for w in caught]
+        # a numeric failure too ends without numpy's overflow warnings
+        assert not caught, [str(w.message) for w in caught]
 
 
 def source_env():
@@ -1014,3 +1019,32 @@ def test_select_and_three_term_train_leave_numpy_ma_unloaded(toy_dataset):
     )
     out = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip().splitlines()[-1] == "False"
+
+
+def test_eval_and_base_to_novel_leave_numpy_ma_unloaded(toy_dataset):
+    # np.unique's first call imports numpy.ma too. Two classes with the same
+    # bank rows tie exactly, so ensemble eval scores rows again by block
+    tmp_path, config, config_path = toy_dataset
+    bank = read_embedding_cache(tmp_path / "bank.emb").values.copy()
+    per_class = len(bank) // len(build_desk_task().names)
+    bank[per_class : 2 * per_class] = bank[:per_class]
+    write_embedding_cache(EmbeddingMatrix(values=bank), tmp_path / "bank.emb")
+    rewrite(config_path, config, eval_classifier="ensemble")
+    code = (
+        "import sys; from bmcoop.cli import run; "
+        f"assert run('eval', {str(config_path)!r}) == 0; "
+        f"assert run('base-to-novel', {str(config_path)!r}, ['epochs=1']) == 0; "
+        "print('numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "False"
+
+
+def test_overflowing_train_ends_in_one_error_line_without_numpy_warnings(toy_dataset):
+    # the context overflows within the first epoch; the failure is the
+    # NumericError of exit 4, and numpy's overflow warnings stay silent
+    _, _, config_path = toy_dataset
+    code, err = run_cli("train", config_path, "lambda1=1e300")
+    assert code == 4, err
+    assert len([line for line in err.splitlines() if line.startswith("bmcoop-error")]) == 1, err
+    assert "RuntimeWarning" not in err, err

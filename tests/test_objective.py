@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bmcoop import objective
 from bmcoop.backbone import (
     SyntheticTextEncoder,
     encode_text_with_context,
@@ -21,6 +22,7 @@ from bmcoop.objective import (
     _log_softmax,
     class_probabilities,
     cosine_logits,
+    cosine_predictions,
     loss_gradient,
     predict,
     prepare_support,
@@ -157,6 +159,160 @@ class TestCosineLogitsBlocks:
         item_ids = [f"item{i}" for i in positions]
         with pytest.raises(DataError, match=f"zero-norm row 'item{self.N - 5 - BLOCK_ROWS}'"):
             cosine_logits(images, text, 0.01, item_ids, positions)
+
+
+def reference_predictions(images, text, tau, ranges, names=None, positions=None):
+    logits = cosine_logits(images, text, tau, names, positions)
+    return [predict(logits[:, first:stop]) for first, stop in ranges]
+
+
+def data_error_or(compute):
+    """The result of ``compute()``, or the text of the ``DataError`` it raises."""
+    try:
+        return compute()
+    except DataError as e:
+        return str(e)
+
+
+@st.composite
+def prediction_cases(draw):
+    """Rows and class rows built to meet the screen's edges: row scales from
+    1e-35 to 1e35 (float64 rows also beyond float32's range), rows along a
+    class row, exact, one-ulp and near ties between class rows, zero rows,
+    repeated positions and single-column ranges."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    d, c, n = draw(st.integers(1, 24)), draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    text = rng.standard_normal((c, d))
+    if c > 1:
+        i, j = rng.choice(c, size=2, replace=False)
+        tie = draw(st.sampled_from(["none", "duplicate", "ulp", "near"]))
+        if tie == "duplicate":
+            text[j] = text[i]
+        elif tie == "ulp":
+            text[j] = np.nextafter(text[i], np.inf)
+        elif tie == "near":  # within float32 rounding of the screen
+            text[j] = text[i] * (1 + 10.0 ** -draw(st.integers(6, 8)) * rng.standard_normal(d))
+    images = rng.standard_normal((n, d))
+    along = rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    images[along] = text[rng.integers(0, c, along.sum())]
+    images[along] += draw(st.sampled_from([0.0, 1e-9, 1e-6])) * rng.standard_normal((along.sum(), d))
+    top = 35 if dtype == np.float32 else draw(st.sampled_from([35, 140]))
+    images *= 10.0 ** rng.uniform(-top, top, size=(n, 1))
+    if draw(st.booleans()):
+        images[rng.integers(0, n)] = 0.0
+    images = images.astype(dtype)
+    positions = None
+    if draw(st.booleans()):
+        positions = rng.integers(0, n, size=draw(st.integers(1, 2 * n)))  # with repeats
+    rows = n if positions is None else len(positions)
+    names = [f"row{i}" for i in range(rows)] if draw(st.booleans()) else None
+    ranges = []
+    for _ in range(draw(st.integers(1, 3))):
+        first = draw(st.integers(0, c - 1))
+        ranges.append((first, draw(st.integers(first + 1, c))))
+    tau = draw(st.sampled_from([0.01, 0.07, 1.0, 100.0]))
+    return images, text, tau, ranges, names, positions
+
+
+class TestCosinePredictions:
+    """``cosine_predictions`` is ``predict`` over column ranges of
+    ``cosine_logits``, element for element, whichever path decides a row."""
+
+    N = 2 * BLOCK_ROWS + 3
+    RANGES = [(0, 3), (3, 6), (0, 6)]
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=prediction_cases())
+    def test_equals_predict_of_cosine_logits(self, case):
+        expected = data_error_or(lambda: reference_predictions(*case))
+        got = data_error_or(lambda: cosine_predictions(*case))
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert len(got) == len(expected)
+            for g, e in zip(got, expected):
+                assert g.dtype == np.intp and np.array_equal(g, e)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The selection positions of every float64 scoring ``cosine_predictions`` asks for."""
+        seen = []
+
+        def counted(images, text, tau, names=None, positions=None):
+            seen.append(np.asarray(positions))
+            return cosine_logits(images, text, tau, names, positions)
+
+        monkeypatch.setattr(objective, "cosine_logits", counted)
+        return seen
+
+    def inputs(self, labels, tie=False):
+        """Float32 rows near the class rows ``labels``, in reversed cache order;
+        with ``tie``, class 2 is a copy of class 1."""
+        rng = np.random.default_rng(31)
+        text = rng.standard_normal((6, 16))
+        if tie:
+            text[2] = text[1]
+        images = (text[labels] + 0.05 * rng.standard_normal((len(labels), 16))).astype(np.float32)
+        return images, text, np.arange(len(labels))[::-1].copy()
+
+    def test_screen_only(self, calls):
+        images, text, positions = self.inputs(np.arange(self.N) % 6)
+        got = cosine_predictions(images, text, 0.01, self.RANGES, None, positions)
+        assert calls == []
+        for g, e in zip(got, reference_predictions(images, text, 0.01, self.RANGES, None, positions)):
+            assert np.array_equal(g, e)
+
+    def test_float64_batch(self, calls):
+        images, text, positions = self.inputs(np.arange(self.N) % 6)
+        # halfway between the unit class rows 0 and 1, 1e-7 nearer to 0: too
+        # close for the float32 screen, far apart for float64
+        unit = text / np.linalg.norm(text, axis=1, keepdims=True)
+        halfway = [5, BLOCK_ROWS + 5]
+        for row in halfway:
+            images[row] = (unit[0] + unit[1]) / 2 + 1e-7 * (unit[0] - unit[1])
+        got = cosine_predictions(images, text, 0.01, self.RANGES, None, positions)
+        assert len(calls) == 1 and set(calls[0]) >= set(halfway)
+        for g, e in zip(got, reference_predictions(images, text, 0.01, self.RANGES, None, positions)):
+            assert np.array_equal(g, e)
+        at = [list(positions).index(row) for row in halfway]
+        assert list(got[0][at]) == [0, 0]
+
+    def test_block_recompute(self, calls):
+        labels = np.arange(self.N) % 6
+        labels[(labels == 1) | (labels == 2)] = 0
+        # the only row near the tied classes 1 and 2: selection row
+        # BLOCK_ROWS + 7, in the second block, reads this cache row
+        row = self.N - 1 - (BLOCK_ROWS + 7)
+        labels[row] = 1
+        images, text, positions = self.inputs(labels, tie=True)
+        names = [f"row{i}" for i in range(self.N)]
+        # ranges in which only that row's top two are the tied classes
+        ranges = [(0, 6), (3, 6), (0, 1)]
+        got = cosine_predictions(images, text, 0.01, ranges, names, positions)
+        # the batch of untrusted rows, then the second block of the selection
+        assert len(calls) == 2
+        assert np.array_equal(calls[1], positions[BLOCK_ROWS : 2 * BLOCK_ROWS])
+        for g, e in zip(got, reference_predictions(images, text, 0.01, ranges, names, positions)):
+            assert np.array_equal(g, e)
+        assert got[0][BLOCK_ROWS + 7] == 1  # the tie goes to the lower index
+
+    def test_zero_row_is_named_as_cosine_logits_names_it(self):
+        images, text, positions = self.inputs(np.arange(self.N) % 6)
+        images[[BLOCK_ROWS + 9, 3]] = 0.0
+        names = [f"row{i}" for i in range(self.N)]
+        # selection order: cache row BLOCK_ROWS + 9 comes first
+        for args in ((names, positions), (None, positions), (names, None)):
+            with pytest.raises(DataError) as expected:
+                cosine_logits(images, text, 0.01, *args)
+            with pytest.raises(DataError, match="zero-norm row") as got:
+                cosine_predictions(images, text, 0.01, self.RANGES, *args)
+            assert str(got.value) == str(expected.value)
+
+    def test_no_rows_give_empty_predictions(self):
+        images, text, positions = self.inputs(np.arange(4) % 6)
+        got = cosine_predictions(images, text, 0.01, self.RANGES, None, positions[:0])
+        assert [g.shape for g in got] == [(0,)] * 3
 
 
 class TestPredict:
